@@ -39,12 +39,16 @@
  *
  * Regression gate: --baseline FILE compares this run's medians against
  * a previously written results file (e.g. the committed
- * BENCH_baseline.json) and exits non-zero when the wall-time geomean
- * regresses by more than --tolerance percent (default 10). A fixed
- * arithmetic calibration loop is timed in both runs and its ratio
- * rescales the baseline, so a comparison on a faster/slower machine
- * than the one that wrote the baseline still measures the *simulator*,
- * not the host.
+ * BENCH_baseline.json) and exits non-zero when any one of the event
+ * loop, traced loop and sweep wall times regresses by more than
+ * --tolerance percent (default 10); each is gated on its own, so one
+ * metric's gain cannot hide another's loss. A fixed arithmetic
+ * calibration loop is timed in both runs and its ratio rescales the
+ * baseline, so a comparison on a faster/slower machine than the one
+ * that wrote the baseline still measures the *simulator*, not the
+ * host. The sweep is compared in worker-seconds, wall time times its
+ * effective workers min(workers, host cpus, jobs), so a baseline
+ * recorded with fewer usable CPUs does not read as a speedup.
  *
  * Results land in BENCH_sweep.json (override with --out FILE) so CI can
  * archive them per commit and trend them; the same file format is what
@@ -545,36 +549,47 @@ main(int argc, char **argv)
     const double host_scale =
         base_calib > 0.0 ? calib_s / base_calib : 1.0;
 
+    // Worker-seconds of the sweep: its wall time shrinks with the
+    // workers the host can actually run at once, so a baseline taken
+    // with fewer usable CPUs must not read as a speedup.
+    const auto effective_workers = [](double workers, double cpus,
+                                      double jobs_run) {
+        return std::max(1.0, std::min({workers, cpus, jobs_run}));
+    };
+    const double base_sweep_workers = effective_workers(
+        jsonNumber(base, "sweep_workers"), jsonNumber(base, "host_cpus"),
+        jsonNumber(base, "sweep_jobs"));
+    const double sweep_workers = effective_workers(
+        runner.workers(), host_cpus, static_cast<double>(n_jobs));
+
     struct Metric
     {
         const char *name;
-        const char *key;
         double now;
+        double base;
     };
     const Metric metrics[] = {
-        {"event loop", "wall_time_s", sim.median},
-        {"traced", "wall_time_traced_s", traced_stats.median},
-        {"sweep", "sweep_wall_time_s", sweep.median},
+        {"event loop", sim.median, jsonNumber(base, "wall_time_s")},
+        {"traced", traced_stats.median,
+         jsonNumber(base, "wall_time_traced_s")},
+        {"sweep", sweep.median * sweep_workers,
+         jsonNumber(base, "sweep_wall_time_s") * base_sweep_workers},
     };
 
     std::printf("baseline: comparing against %s "
-                "(host scale %.3fx, tolerance %.1f%%)\n",
-                baseline_path.c_str(), host_scale, tolerance);
-    double log_sum = 0.0;
+                "(host scale %.3fx, tolerance %.1f%%, sweep workers "
+                "%.0f vs %.0f)\n",
+                baseline_path.c_str(), host_scale, tolerance,
+                sweep_workers, base_sweep_workers);
+    bool regressed = false;
     for (const Metric &m : metrics) {
-        const double base_median =
-            jsonNumber(base, m.key) * host_scale;
-        const double ratio =
-            base_median > 0.0 ? m.now / base_median : 1.0;
-        log_sum += std::log(ratio);
-        std::printf("  %-11s: %.3f s vs %.3f s  (%.2fx)\n", m.name,
-                    m.now, base_median, ratio);
+        const double base_scaled = m.base * host_scale;
+        const double ratio = base_scaled > 0.0 ? m.now / base_scaled : 1.0;
+        const bool bad = ratio > 1.0 + tolerance / 100.0;
+        std::printf("  %-11s: %.3f s vs %.3f s  (%.2fx) — %s\n", m.name,
+                    m.now, base_scaled, ratio, bad ? "REGRESSION" : "ok");
+        regressed = regressed || bad;
     }
-    const double geomean =
-        std::exp(log_sum / std::size(metrics));
-    bool regressed = geomean > 1.0 + tolerance / 100.0;
-    std::printf("baseline: wall-time geomean ratio %.3fx — %s\n",
-                geomean, regressed ? "REGRESSION" : "ok");
 
     // Parallel-speedup gate: only meaningful when both the baseline
     // host and this host actually have the CPUs to run kSimThreads

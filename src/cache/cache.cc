@@ -127,6 +127,16 @@ Cache::issueFill(std::size_t index)
 }
 
 void
+Cache::scheduleCompletion(std::uint32_t head, Tick done)
+{
+    if (head != CompletionPool::none) {
+        queue.schedule(done, [this, head, done] {
+            pool.completeChain(head, done);
+        });
+    }
+}
+
+void
 Cache::handleFill(Addr line_addr, Tick when)
 {
     const std::uint32_t *found = mshrIndex.find(line_addr);
@@ -148,14 +158,9 @@ Cache::handleFill(Addr line_addr, Tick when)
     else
         installLine(line_addr, slot.anyWrite);
 
-    const Tick done = when + config.hitLatency;
-    for (auto &cb : slot.waiters) {
-        if (cb)
-            queue.schedule(done, [cb = std::move(cb), done]() mutable {
-                cb(done);
-            });
-    }
-    slot.waiters.clear();
+    scheduleCompletion(slot.head, when + config.hitLatency);
+    slot.head = CompletionPool::none;
+    slot.tail = CompletionPool::none;
     slot.anyWrite = false;
     slot.discardFill = false;
     mshrIndex.erase(line_addr);
@@ -164,46 +169,45 @@ Cache::handleFill(Addr line_addr, Tick when)
     // Retry stalled requests while MSHRs are available. A retried
     // request can only re-stall when the free list empties, which ends
     // the loop first, so each iteration strictly shrinks the queue.
-    while (!freeMshrs.empty() && !stalledReqs.empty()) {
-        MemReq req = std::move(stalledReqs.front());
-        stalledReqs.pop_front();
-        accessImpl(std::move(req), true);
+    while (!freeMshrs.empty() && stalledHead != stalledReqs.size()) {
+        const LineReq req = stalledReqs[stalledHead++];
+        if (stalledHead == stalledReqs.size()) {
+            stalledReqs.clear();
+            stalledHead = 0;
+        }
+        accessLine(req, true);
     }
 }
 
 void
 Cache::access(MemReq req)
 {
-    accessImpl(std::move(req), false);
-}
-
-void
-Cache::accessImpl(MemReq req, bool is_retry)
-{
     // Split multi-line requests into independent line accesses; the
     // caller's callback fires when the last line completes.
     const Addr first_line = lineAddr(req.addr);
     const Addr last_line = lineAddr(req.addr + std::max(req.size, 1u) - 1);
-    if (first_line != last_line) {
-        const std::size_t count =
-            static_cast<std::size_t>((last_line - first_line)
-                                     / config.lineBytes) + 1;
-        auto join = std::make_shared<SplitJoin>(
-            count, std::move(req.onComplete));
-        for (Addr line = first_line; line <= last_line;
-             line += config.lineBytes) {
-            MemReq part;
-            part.addr = line;
-            part.size = config.lineBytes;
-            part.write = req.write;
-            part.cls = req.cls;
-            part.tileTag = req.tileTag;
-            part.onComplete = splitJoinPart(join);
-            accessImpl(std::move(part), is_retry);
-        }
+    if (first_line == last_line) {
+        accessLine(LineReq{req.addr, req.size, req.write, req.cls,
+                           req.tileTag, pool.park(std::move(req.onComplete))},
+                   false);
         return;
     }
+    const std::size_t count =
+        static_cast<std::size_t>((last_line - first_line)
+                                 / config.lineBytes) + 1;
+    auto join = std::make_shared<SplitJoin>(count,
+                                            std::move(req.onComplete));
+    for (Addr line = first_line; line <= last_line;
+         line += config.lineBytes) {
+        accessLine(LineReq{line, config.lineBytes, req.write, req.cls,
+                           req.tileTag, pool.park(splitJoinPart(join))},
+                   false);
+    }
+}
 
+void
+Cache::accessLine(const LineReq &req, bool is_retry)
+{
     if (!is_retry) {
         if (req.write)
             ++writeAccesses;
@@ -211,7 +215,7 @@ Cache::accessImpl(MemReq req, bool is_retry)
             ++readAccesses;
     }
 
-    const Addr line_addr = first_line;
+    const Addr line_addr = lineAddr(req.addr);
     const Tick start = arbitratePort();
 
     if (config.alwaysHit) {
@@ -219,13 +223,7 @@ Cache::accessImpl(MemReq req, bool is_retry)
         // L1 hit; no traffic propagates downstream.
         if (!testDropHitAccounting)
             ++hits;
-        if (req.onComplete) {
-            const Tick done = start + config.hitLatency;
-            auto cb = std::move(req.onComplete);
-            queue.schedule(done, [cb = std::move(cb), done]() mutable {
-                cb(done);
-            });
-        }
+        scheduleCompletion(req.waiter, start + config.hitLatency);
         return;
     }
 
@@ -240,13 +238,7 @@ Cache::accessImpl(MemReq req, bool is_retry)
         line.lruStamp = ++lruClock;
         if (req.write)
             line.dirty = true;
-        if (req.onComplete) {
-            const Tick done = start + config.hitLatency;
-            auto cb = std::move(req.onComplete);
-            queue.schedule(done, [cb = std::move(cb), done]() mutable {
-                cb(done);
-            });
-        }
+        scheduleCompletion(req.waiter, start + config.hitLatency);
         return;
     }
 
@@ -256,16 +248,29 @@ Cache::accessImpl(MemReq req, bool is_retry)
             ++mshrCoalesced;
         Mshr &slot = mshrSlots[*in_flight];
         slot.anyWrite |= req.write;
-        slot.waiters.push_back(std::move(req.onComplete));
+        if (req.waiter != CompletionPool::none) {
+            if (slot.head == CompletionPool::none)
+                slot.head = req.waiter;
+            else
+                pool.next(slot.tail) = req.waiter;
+            slot.tail = req.waiter;
+        }
         return;
     }
 
     if (!is_retry)
         ++misses;
 
-    // Streaming writes bypass allocation when configured to.
+    // Streaming writes bypass allocation when configured to; the
+    // parked callback completes when the next level's does.
     if (req.write && !config.writeAllocate) {
-        MemReq fwd = std::move(req);
+        MemReq fwd{req.addr, req.size, true, req.cls, req.tileTag,
+                   nullptr};
+        if (req.waiter != CompletionPool::none) {
+            fwd.onComplete = [this, waiter = req.waiter](Tick when) {
+                pool.completeChain(waiter, when);
+            };
+        }
         next.access(std::move(fwd));
         return;
     }
@@ -273,7 +278,15 @@ Cache::accessImpl(MemReq req, bool is_retry)
     if (freeMshrs.empty()) {
         if (!is_retry)
             ++mshrStalls;
-        stalledReqs.push_back(std::move(req));
+        // Reclaim the consumed prefix instead of growing the buffer.
+        if (stalledHead != 0
+            && stalledReqs.size() == stalledReqs.capacity()) {
+            stalledReqs.erase(stalledReqs.begin(),
+                              stalledReqs.begin()
+                                  + static_cast<std::ptrdiff_t>(stalledHead));
+            stalledHead = 0;
+        }
+        stalledReqs.push_back(req);
         return;
     }
 
@@ -283,8 +296,8 @@ Cache::accessImpl(MemReq req, bool is_retry)
     slot.lineAddr = line_addr;
     slot.anyWrite = req.write;
     slot.discardFill = false;
-    slot.waiters.clear();
-    slot.waiters.push_back(std::move(req.onComplete));
+    slot.head = req.waiter;
+    slot.tail = req.waiter;
     mshrIndex.insert(line_addr, static_cast<std::uint32_t>(index));
     mshrCls[index] = req.cls;
     mshrTag[index] = req.tileTag;
@@ -326,6 +339,8 @@ Cache::saveState(SnapshotWriter &w) const
 {
     libra_assert(mshrIndex.size() == 0 && stalledReqs.empty(),
                  "cache snapshot with in-flight misses: ", config.name);
+    libra_assert(pool.live() == 0,
+                 "cache snapshot with a parked completion: ", config.name);
     w.putU64(lines.size());
     for (const Line &line : lines) {
         w.putBool(line.valid);

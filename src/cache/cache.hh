@@ -19,7 +19,6 @@
 #define LIBRA_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -82,8 +81,9 @@ class Cache : public MemSink
     /**
      * Serialize persistent state (tags/LRU/ports/fill sequence) for a
      * frame-boundary snapshot. Only legal while quiescent: occupied
-     * MSHRs or stalled requests imply pending events and are asserted
-     * against. Counters are restored separately via the StatGroup.
+     * MSHRs, stalled requests or a parked completion callback imply
+     * pending work and are asserted against. Counters are restored
+     * separately via the StatGroup.
      */
     void saveState(SnapshotWriter &w) const;
 
@@ -135,13 +135,33 @@ class Cache : public MemSink
         Addr lineAddr;
         bool anyWrite = false;
         bool discardFill = false; //!< invalidated while in flight
-        std::vector<MemCallback> waiters;
+        /** Waiter chain in `pool`, in arrival order (none when empty). */
+        std::uint32_t head = CompletionPool::none;
+        std::uint32_t tail = CompletionPool::none;
+    };
+
+    /** A single-line request whose callback is parked in `pool`. */
+    struct LineReq
+    {
+        Addr addr;
+        std::uint32_t size;
+        bool write;
+        TrafficClass cls;
+        std::uint32_t tileTag;
+        std::uint32_t waiter; //!< pool slot, none for posted writes
     };
 
     Addr lineAddr(Addr addr) const { return addr & ~(Addr(config.lineBytes) - 1); }
 
-    /** Shared implementation; retried requests skip the counters. */
-    void accessImpl(MemReq req, bool is_retry);
+    /** Service one line; retried requests skip the counters. */
+    void accessLine(const LineReq &req, bool is_retry);
+
+    /** Complete the chain at @p head at tick @p done, in one event
+     *  (none for an empty chain). Order-exact: one event per waiter
+     *  would carry consecutive sequence numbers at the same tick, so
+     *  nothing could run between them, and whatever a waiter schedules
+     *  sorts after all of them. */
+    void scheduleCompletion(std::uint32_t head, Tick done);
     std::size_t setIndex(Addr line_addr) const;
 
     /** Probe the set; returns way index or -1. */
@@ -179,7 +199,15 @@ class Cache : public MemSink
     std::vector<TrafficClass> mshrCls; //!< class of the triggering miss
     std::vector<std::uint32_t> mshrTag; //!< tile tag of the triggering miss
     std::vector<std::size_t> freeMshrs;
-    std::deque<MemReq> stalledReqs; //!< waiting for an MSHR
+
+    /** Requests waiting for an MSHR: FIFO from stalledHead. A vector
+     *  with a read index, not a deque, so steady-state stall churn
+     *  reuses its capacity instead of allocating. */
+    std::vector<LineReq> stalledReqs;
+    std::size_t stalledHead = 0;
+
+    /** Every accepted completion callback, parked until it runs. */
+    CompletionPool pool;
 
     Tick portTick = 0;
     std::uint32_t portCount = 0;

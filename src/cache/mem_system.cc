@@ -11,6 +11,19 @@ namespace libra
 {
 
 void
+CompletionPool::grow()
+{
+    const auto base =
+        static_cast<std::uint32_t>(chunks.size()) << kChunkBits;
+    chunks.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    Slot *chunk = chunks.back().get();
+    for (std::uint32_t i = 0; i + 1 < kChunkSlots; ++i)
+        chunk[i].next = base + i + 1;
+    chunk[kChunkSlots - 1].next = freeHead;
+    freeHead = base;
+}
+
+void
 ReplicationTracker::attach(Cache &cache)
 {
     // Chain behind any existing hooks so multiple observers compose.

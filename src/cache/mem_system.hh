@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/open_addr_map.hh"
 #include "common/types.hh"
@@ -43,10 +44,100 @@ constexpr Addr frameBufferBase = 0x8000'0000ull;   //!< final image
  * Completion callback; argument is the completion tick. Move-only and
  * allocation-free: 24 bytes of inline capture (e.g. an owner pointer
  * plus a shared_ptr to per-request state) — enough for every producer
- * in the tree, and small enough that the cache/DRAM completion wraps
- * (callback + completion tick) still fit inside an EventCallback.
+ * in the tree. Caches and DRAM never carry it further than their entry
+ * point: they park it in a CompletionPool and pass a slot index on.
  */
 using MemCallback = SmallCallback<void(Tick), 24>;
+
+/**
+ * Parking lot for the completion callbacks accepted by one level of
+ * the memory hierarchy. A callback is moved in once, when its request
+ * enters the level, and invoked in place once, when it completes;
+ * everything in between (MSHR waiter lists, stall queues, DRAM
+ * scheduler queues, completion events) holds a 4-byte slot index.
+ *
+ * Slots live in fixed-size chunks that never move, so a running
+ * callback may re-enter its owner and park new callbacks (growing the
+ * pool) without invalidating itself or any other parked slot. The
+ * `next` links chain free slots and, for live slots, FIFO waiter
+ * chains: completeChain() runs a whole chain in arrival order.
+ *
+ * Not thread-safe: a pool belongs to one component, hence to the one
+ * event queue (or shard) that component runs on.
+ */
+class CompletionPool
+{
+  public:
+    /** End-of-chain marker; also "no callback" for an empty one. */
+    static constexpr std::uint32_t none = ~std::uint32_t(0);
+
+    /** Park @p cb; returns its slot, or none when @p cb is empty. The
+     *  slot starts a chain of length one. */
+    std::uint32_t
+    park(MemCallback &&cb)
+    {
+        if (!cb)
+            return none;
+        if (freeHead == none)
+            grow();
+        const std::uint32_t index = freeHead;
+        Slot &slot = at(index);
+        freeHead = slot.next;
+        slot.cb = std::move(cb);
+        slot.next = none;
+        ++liveSlots;
+        return index;
+    }
+
+    /** Chain link of the live slot @p index (none at the tail). */
+    std::uint32_t &next(std::uint32_t index) { return at(index).next; }
+
+    /**
+     * Invoke every callback of the chain starting at @p head with
+     * @p when, in chain order, freeing each slot after its callback
+     * returns. @p head may be none (nothing runs).
+     */
+    void
+    completeChain(std::uint32_t head, Tick when)
+    {
+        while (head != none) {
+            Slot &slot = at(head);
+            const std::uint32_t following = slot.next;
+            slot.cb(when);
+            slot.cb = nullptr;
+            slot.next = freeHead;
+            freeHead = head;
+            --liveSlots;
+            head = following;
+        }
+    }
+
+    /** Parked callbacks that have not completed yet. */
+    std::size_t live() const { return liveSlots; }
+
+  private:
+    static constexpr std::uint32_t kChunkBits = 6;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
+
+    struct Slot
+    {
+        MemCallback cb;
+        std::uint32_t next = none;
+    };
+
+    Slot &
+    at(std::uint32_t index)
+    {
+        return chunks[index >> kChunkBits][index & (kChunkSlots - 1)];
+    }
+
+    /** Append one chunk and thread its slots onto the free list. */
+    void grow();
+
+    std::vector<std::unique_ptr<Slot[]>> chunks;
+    std::uint32_t freeHead = none;
+    std::size_t liveSlots = 0;
+};
 
 /** A memory request traveling down the hierarchy. */
 struct MemReq

@@ -49,11 +49,15 @@ constexpr std::uint32_t kSnapshotFormatVersion = 1;
  * payload changes (new field, reordered member, changed invariant), so
  * snapshots written by older code are refused instead of misread.
  */
-constexpr std::uint32_t kSnapshotCodeVersion = 2;
+constexpr std::uint32_t kSnapshotCodeVersion = 3;
 // v2: Scheduler section holds policy-object state (only LIBRA's
 //     adaptive controller writes anything; stateless policies write
 //     nothing) and GpuCore carries the Rendering Elimination input-
 //     signature table.
+// v3: the Engine section's event sequence and executed-event counts
+//     count one event per completed MSHR fill (not one per waiter),
+//     so a v2 image of the same frame holds larger values. Every other
+//     byte is unchanged.
 
 /** Fixed header keying a snapshot to the run that may restore it. */
 struct SnapshotHeader

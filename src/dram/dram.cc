@@ -76,7 +76,7 @@ Dram::pendingRequests() const
 
 void
 Dram::enqueueLine(Addr addr, bool write, TrafficClass cls,
-                  std::uint32_t tile_tag, MemCallback cb)
+                  std::uint32_t tile_tag, std::uint32_t waiter)
 {
     std::uint32_t channel_idx, bank;
     std::uint64_t row;
@@ -90,21 +90,21 @@ Dram::enqueueLine(Addr addr, bool write, TrafficClass cls,
     req.arrival = queue.now();
     req.cls = cls;
     req.tileTag = tile_tag;
-    req.onComplete = std::move(cb);
+    req.waiter = waiter;
 
     // The controller/PHY pipeline delays visibility to the scheduler.
     // Every request crosses the pipe in exactly ctrlLatency cycles and
     // same-tick events run in scheduling order, so the pipe drains
     // strictly FIFO — the event only needs to capture `this`, keeping
     // the request itself out of the (size-bounded) event capture.
-    ctrlPipe.push_back(CtrlEntry{channel_idx, std::move(req)});
+    ctrlPipe.push_back(CtrlEntry{channel_idx, req});
     queue.scheduleAfter(config.ctrlLatency, [this] {
         libra_assert(!ctrlPipe.empty(), "DRAM ctrl pipe underflow");
-        CtrlEntry entry = std::move(ctrlPipe.front());
+        const CtrlEntry entry = ctrlPipe.front();
         ctrlPipe.pop_front();
         Channel &ch = channelState[entry.channel];
         auto &q = entry.req.write ? ch.writeQ : ch.readQ;
-        q.push_back(std::move(entry.req));
+        q.push_back(entry.req);
         libra_assert(q.size() < 2'000'000, "runaway DRAM queue");
         serviceChannel(entry.channel);
     });
@@ -164,10 +164,9 @@ Dram::issue(Channel &channel, Request &req)
         observer(DramAccessInfo{req.addr, req.write, req.cls, req.tileTag,
                                 req.arrival, complete, row_hit});
     }
-    if (req.onComplete) {
-        auto cb = std::move(req.onComplete);
-        queue.schedule(complete, [cb = std::move(cb), complete]() mutable {
-            cb(complete);
+    if (req.waiter != CompletionPool::none) {
+        queue.schedule(complete, [this, waiter = req.waiter, complete] {
+            pool.completeChain(waiter, complete);
         });
     }
     return complete;
@@ -283,7 +282,7 @@ Dram::serviceChannel(std::uint32_t channel_idx)
         if (!source)
             break;
 
-        Request req = std::move((*source)[static_cast<std::size_t>(pick)]);
+        Request req = (*source)[static_cast<std::size_t>(pick)];
         source->erase(source->begin() + pick);
         issue(channel, req);
     }
@@ -322,7 +321,7 @@ Dram::access(MemReq req)
 
     if (count == 1) {
         enqueueLine(first_line * config.lineBytes, req.write, req.cls,
-                    req.tileTag, std::move(req.onComplete));
+                    req.tileTag, pool.park(std::move(req.onComplete)));
         return;
     }
 
@@ -332,11 +331,10 @@ Dram::access(MemReq req)
     auto join = std::make_shared<SplitJoin>(count,
                                             std::move(req.onComplete));
     for (Addr line = first_line; line <= last_line; ++line) {
-        MemCallback part;
-        if (wants_completion)
-            part = splitJoinPart(join);
         enqueueLine(line * config.lineBytes, req.write, req.cls,
-                    req.tileTag, std::move(part));
+                    req.tileTag,
+                    wants_completion ? pool.park(splitJoinPart(join))
+                                     : CompletionPool::none);
     }
 }
 
@@ -344,6 +342,7 @@ void
 Dram::saveState(SnapshotWriter &w) const
 {
     libra_assert(ctrlPipe.empty(), "DRAM snapshot with ctrl pipe busy");
+    libra_assert(pool.live() == 0, "DRAM snapshot with a parked completion");
     w.putU64(channelState.size());
     for (const Channel &ch : channelState) {
         libra_assert(ch.readQ.empty() && ch.writeQ.empty()

@@ -124,9 +124,10 @@ class Dram : public MemSink
     /**
      * Serialize persistent state (bank rows, bus clocks, issue
      * sequence) for a frame-boundary snapshot. Only legal while
-     * quiescent: non-empty queues or an armed wakeup imply pending
-     * events and are asserted against (a drained queue always runs the
-     * last wakeup event, which clears the flag — see armWakeup()).
+     * quiescent: non-empty queues, an armed wakeup or a parked
+     * completion callback imply pending events and are asserted against
+     * (a drained queue always runs the last wakeup event, which clears
+     * the flag — see armWakeup()).
      */
     void saveState(SnapshotWriter &w) const;
 
@@ -174,7 +175,7 @@ class Dram : public MemSink
         Tick arrival;          //!< tick the request entered the queue
         TrafficClass cls;
         std::uint32_t tileTag;
-        MemCallback onComplete; //!< may be empty
+        std::uint32_t waiter; //!< slot in `pool`, none for posted writes
     };
 
     struct Channel
@@ -199,9 +200,9 @@ class Dram : public MemSink
     void mapAddress(Addr addr, std::uint32_t &channel, std::uint32_t &bank,
                     std::uint64_t &row) const;
 
-    /** Enqueue one line-sized request. */
+    /** Enqueue one line-sized request completing pool slot @p waiter. */
     void enqueueLine(Addr addr, bool write, TrafficClass cls,
-                     std::uint32_t tile_tag, MemCallback cb);
+                     std::uint32_t tile_tag, std::uint32_t waiter);
 
     /** FR-FCFS: issue every request that can start now; re-arm timer. */
     void serviceChannel(std::uint32_t channel_idx);
@@ -218,14 +219,17 @@ class Dram : public MemSink
 
     EventQueue &queue;
     DramConfig config;
-    // deque, not vector: Channel holds move-only Requests and deque
-    // resize never relocates (vector::resize would require a copy ctor
-    // because deque's move is not noexcept).
+    // deque, not vector: deque resize never relocates the channels
+    // (vector::resize would copy them, because deque's move is not
+    // noexcept).
     std::deque<Channel> channelState;
     /** FIFO of requests inside the controller pipeline (see
      *  enqueueLine): drained front-first by the matching events. */
     std::deque<CtrlEntry> ctrlPipe;
     std::function<void(const DramAccessInfo &)> observer;
+    /** Completion callbacks of requests in flight; the scheduler queues
+     *  carry slot indices, so FR-FCFS reordering shifts plain data. */
+    CompletionPool pool;
     std::uint64_t issueSeq = 0; //!< commands issued, for testStallEvery
     StatGroup statGroup{"dram"};
 };

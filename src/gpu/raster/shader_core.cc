@@ -1,7 +1,6 @@
 #include "gpu/raster/shader_core.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "check/snapshot.hh"
 #include "common/log.hh"
@@ -9,23 +8,15 @@
 namespace libra
 {
 
-/** Shared mutable state for one in-flight warp. */
-struct ShaderCore::Flight
-{
-    WarpTask task;
-    WarpRetireCallback onRetire;
-    std::uint64_t outstanding = 0;
-    Tick issueTick = 0;     //!< tick the texture phase issued
-    Tick lastData = 0;
-    std::uint64_t latencySum = 0;
-    WarpRetireInfo info{};  //!< filled by finishWarp, read at retirement
-};
-
 ShaderCore::ShaderCore(EventQueue &eq, std::uint32_t warp_slots,
                        Cache &texture_l1, const std::string &name)
-    : queue(eq), warpSlots(warp_slots), texL1(texture_l1)
+    : queue(eq), warpSlots(warp_slots), texL1(texture_l1),
+      flights(warp_slots)
 {
     libra_assert(warp_slots > 0, name, ": core needs warp slots");
+    freeFlights.reserve(warp_slots);
+    for (std::uint32_t f = warp_slots; f-- > 0;)
+        freeFlights.push_back(f);
 }
 
 Tick
@@ -41,7 +32,8 @@ void
 ShaderCore::dispatch(WarpTask task, WarpRetireCallback on_retire)
 {
     libra_assert(hasFreeSlot(), "dispatch to a full core");
-    ++residentWarps;
+    const std::uint32_t f = freeFlights.back();
+    freeFlights.pop_back();
     ++warpsExecuted;
 
     const Tick now = queue.now();
@@ -50,33 +42,37 @@ ShaderCore::dispatch(WarpTask task, WarpRetireCallback on_retire)
     // arbitrating the issue port with the other resident warps.
     const Tick alu_done = reserveIssue(now, std::max<Tick>(1, task.aluOps));
 
-    auto flight = std::make_shared<Flight>();
-    flight->task = std::move(task);
-    flight->onRetire = std::move(on_retire);
+    Flight &flight = flights[f];
+    flight.task = std::move(task);
+    flight.onRetire = std::move(on_retire);
+    flight.issueTick = 0;
+    flight.lastData = 0;
+    flight.latencySum = 0;
 
-    if (flight->task.texLines.empty()) {
+    if (flight.task.texLines.empty()) {
         // Pure-ALU warp: no texture phase.
-        queue.schedule(alu_done, [this, flight, alu_done] {
-            finishWarp(flight, alu_done);
+        flight.outstanding = 0;
+        queue.schedule(alu_done, [this, f, alu_done] {
+            finishWarp(f, alu_done);
         });
         return;
     }
 
     // Texture phase: issue every sample when the ALU block completes,
     // then block until the last one returns.
-    flight->outstanding = flight->task.texLines.size();
-    queue.schedule(alu_done,
-                   [this, flight] { issueTexPhase(flight); });
+    flight.outstanding = flight.task.texLines.size();
+    queue.schedule(alu_done, [this, f] { issueTexPhase(f); });
 }
 
 void
-ShaderCore::issueTexPhase(const std::shared_ptr<Flight> &flight)
+ShaderCore::issueTexPhase(std::uint32_t f)
 {
-    flight->issueTick = queue.now();
-    for (const Addr line : flight->task.texLines) {
+    Flight &flight = flights[f];
+    flight.issueTick = queue.now();
+    for (const Addr line : flight.task.texLines) {
         texL1.access(MemReq{
-            line, 64, false, TrafficClass::Texture, flight->task.tile,
-            [this, flight](Tick when) { onTexData(flight, when); }});
+            line, 64, false, TrafficClass::Texture, flight.task.tile,
+            [this, f](Tick when) { onTexData(f, when); }});
     }
     // The warp just blocked on its texture data; let the RU's phase
     // attribution notice (it may have been the last one issuing).
@@ -85,34 +81,35 @@ ShaderCore::issueTexPhase(const std::shared_ptr<Flight> &flight)
 }
 
 void
-ShaderCore::onTexData(const std::shared_ptr<Flight> &flight, Tick when)
+ShaderCore::onTexData(std::uint32_t f, Tick when)
 {
-    flight->latencySum += when - flight->issueTick;
-    flight->lastData = std::max(flight->lastData, when);
-    if (--flight->outstanding == 0)
-        finishWarp(flight, flight->lastData);
+    Flight &flight = flights[f];
+    flight.latencySum += when - flight.issueTick;
+    flight.lastData = std::max(flight.lastData, when);
+    if (--flight.outstanding == 0)
+        finishWarp(f, flight.lastData);
 }
 
 void
-ShaderCore::finishWarp(const std::shared_ptr<Flight> &flight,
-                       Tick data_ready)
+ShaderCore::finishWarp(std::uint32_t f, Tick data_ready)
 {
+    Flight &flight = flights[f];
     // Tail block (color computation/export) re-arbitrates issue.
     const Tick done = reserveIssue(data_ready, tailOps);
-    texRequests += flight->task.texLines.size();
-    texLatencySum += flight->latencySum;
+    texRequests += flight.task.texLines.size();
+    texLatencySum += flight.latencySum;
 
-    WarpRetireInfo &info = flight->info;
-    info.tile = flight->task.tile;
+    WarpRetireInfo &info = flight.info;
+    info.tile = flight.task.tile;
     info.shadedAt = done;
-    info.instructions = flight->task.instructions;
-    info.texRequests = flight->task.texLines.size();
-    info.texLatencySum = flight->latencySum;
-    info.quadCount = flight->task.quadCount;
-    info.fragments = flight->task.fragments;
-    info.blend = flight->task.blend;
+    info.instructions = flight.task.instructions;
+    info.texRequests = flight.task.texLines.size();
+    info.texLatencySum = flight.latencySum;
+    info.quadCount = flight.task.quadCount;
+    info.fragments = flight.task.fragments;
+    info.blend = flight.task.blend;
 
-    queue.schedule(done, [this, flight] { retireWarp(flight); });
+    queue.schedule(done, [this, f] { retireWarp(f); });
     // Data returned and the tail block re-occupied the issue port:
     // the core transitioned back from waiting to shading.
     if (onStateChange)
@@ -120,18 +117,26 @@ ShaderCore::finishWarp(const std::shared_ptr<Flight> &flight,
 }
 
 void
-ShaderCore::retireWarp(const std::shared_ptr<Flight> &flight)
+ShaderCore::retireWarp(std::uint32_t f)
 {
-    libra_assert(residentWarps > 0, "slot underflow");
-    --residentWarps;
-    flight->onRetire(flight->info);
+    // The continuation may dispatch onto this core, possibly into this
+    // very flight: take what it needs and free the slot first.
+    Flight &flight = flights[f];
+    WarpRetireCallback on_retire = std::move(flight.onRetire);
+    const WarpRetireInfo info = flight.info;
+    freeFlights.push_back(f);
+    on_retire(info);
 }
 
 void
 ShaderCore::saveState(SnapshotWriter &w) const
 {
-    libra_assert(residentWarps == 0,
+    libra_assert(resident() == 0,
                  "shader-core snapshot with resident warps");
+    for (const Flight &flight : flights) {
+        libra_assert(!flight.onRetire,
+                     "shader-core snapshot with a parked retire callback");
+    }
     w.putU64(issueReadyAt);
     w.putU64(warpsExecuted.value());
     w.putU64(issueBusy.value());

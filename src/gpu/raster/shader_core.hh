@@ -15,7 +15,6 @@
 #define LIBRA_GPU_RASTER_SHADER_CORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -72,10 +71,14 @@ class ShaderCore
                Cache &texture_l1, const std::string &name);
 
     /** True when a new warp can become resident. */
-    bool hasFreeSlot() const { return residentWarps < warpSlots; }
+    bool hasFreeSlot() const { return !freeFlights.empty(); }
 
-    std::uint32_t freeSlots() const { return warpSlots - residentWarps; }
-    std::uint32_t resident() const { return residentWarps; }
+    std::uint32_t
+    freeSlots() const
+    {
+        return static_cast<std::uint32_t>(freeFlights.size());
+    }
+    std::uint32_t resident() const { return warpSlots - freeSlots(); }
 
     /**
      * Make @p task resident and start executing it. @p on_retire fires
@@ -112,7 +115,8 @@ class ShaderCore
     /**
      * Serialize persistent state (issue-port clock plus the four
      * counters above, which are not registered in any StatGroup) for a
-     * frame-boundary snapshot. Asserts no warps are resident.
+     * frame-boundary snapshot. Asserts no warps are resident and no
+     * flight still holds a retire callback.
      */
     void saveState(SnapshotWriter &w) const;
 
@@ -120,33 +124,41 @@ class ShaderCore
     void loadState(SnapshotReader &r);
 
   private:
-    /** Shared state of one in-flight warp (defined in shader_core.cc).
-     *  Everything the warp's events need lives here so each event
-     *  captures only {this, flight} — inside the inline capacity of
-     *  EventCallback/MemCallback. */
-    struct Flight;
+    /** State of one in-flight warp. Flights live in a fixed array of
+     *  warpSlots entries, so every event and texture callback of a warp
+     *  captures only {this, flight index}. */
+    struct Flight
+    {
+        WarpTask task;
+        WarpRetireCallback onRetire;
+        std::uint64_t outstanding = 0;
+        Tick issueTick = 0;     //!< tick the texture phase issued
+        Tick lastData = 0;
+        std::uint64_t latencySum = 0;
+        WarpRetireInfo info{};  //!< filled by finishWarp, read at retire
+    };
 
     /** Reserve @p cycles of the issue port; returns completion tick. */
     Tick reserveIssue(Tick earliest, Tick cycles);
 
-    /** Issue every texture sample of @p flight to the L1. */
-    void issueTexPhase(const std::shared_ptr<Flight> &flight);
+    /** Issue every texture sample of flight @p f to the L1. */
+    void issueTexPhase(std::uint32_t f);
 
-    /** One texture line returned at @p when. */
-    void onTexData(const std::shared_ptr<Flight> &flight, Tick when);
+    /** One texture line of flight @p f returned at @p when. */
+    void onTexData(std::uint32_t f, Tick when);
 
     /** Data complete at @p data_ready: run the tail block, schedule
      *  retirement. */
-    void finishWarp(const std::shared_ptr<Flight> &flight,
-                    Tick data_ready);
+    void finishWarp(std::uint32_t f, Tick data_ready);
 
-    /** Free the slot and fire the retire callback. */
-    void retireWarp(const std::shared_ptr<Flight> &flight);
+    /** Free the flight and fire its retire callback. */
+    void retireWarp(std::uint32_t f);
 
     EventQueue &queue;
     std::uint32_t warpSlots;
     Cache &texL1;
-    std::uint32_t residentWarps = 0;
+    std::vector<Flight> flights;            //!< one per warp slot
+    std::vector<std::uint32_t> freeFlights; //!< indices into flights
     Tick issueReadyAt = 0;
 };
 

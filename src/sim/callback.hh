@@ -137,7 +137,8 @@ class SmallCallback<R(Args...), Capacity>
 
     // Pointer alignment, not max_align_t: a 16-byte-aligned buffer
     // would round a nested callback's size up and break the exact
-    // capacity math of the wrap sites (MemCallback + Tick == 40).
+    // capacity math of the sites that wrap one callback in another
+    // (IdealMemory's completion event: MemCallback + Tick == 40).
     static constexpr std::size_t kAlign = alignof(void *);
 
     alignas(kAlign) unsigned char storage[Capacity];

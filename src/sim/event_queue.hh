@@ -51,9 +51,12 @@ class SnapshotReader;
  *
  * Inline capacity is 40 bytes: room for the largest audited in-tree
  * capture — a MemCallback (32 bytes) plus a completion Tick, the shape
- * every cache/DRAM completion wrap uses. Captures up to five pointers
- * never allocate; larger captures fail to compile (see callback.hh) —
- * move shared state into a single shared_ptr block instead.
+ * of IdealMemory's fixed-latency completion. Cache and DRAM completion
+ * events are smaller: they capture {owner, pool slot, tick} and run
+ * the callback parked in the owner's CompletionPool. Captures up to
+ * five pointers never allocate; larger captures fail to compile (see
+ * callback.hh) — move shared state into a single shared_ptr block
+ * instead.
  */
 using EventCallback = SmallCallback<void(), 40>;
 

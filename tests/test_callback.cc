@@ -12,8 +12,11 @@
 #include <memory>
 #include <new>
 #include <utility>
+#include <vector>
 
+#include "cache/cache.hh"
 #include "cache/mem_system.hh"
+#include "gpu/raster/shader_core.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 
@@ -228,8 +231,8 @@ TEST(SmallCallback, ScheduleIsAllocationFree)
 
 TEST(SmallCallback, MemCallbackShapeIsAllocationFree)
 {
-    // The cache/DRAM completion path wraps a MemCallback + Tick into an
-    // EventCallback; both layers must stay inline.
+    // IdealMemory (and the tests' memory doubles) wrap a MemCallback +
+    // Tick into an EventCallback; both layers must stay inline.
     EventQueue q;
     std::uint64_t seen = 0;
 
@@ -250,4 +253,116 @@ TEST(SmallCallback, MemCallbackShapeIsAllocationFree)
 
     q.runUntil();
     EXPECT_EQ(seen, 19u);
+}
+
+// ---------------------------------------------------------------------
+// Steady-state memory path: pooled completions and pooled warp flights.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Texture warp over @p lines, built before any allocation count. */
+WarpTask
+textureWarp(std::vector<Addr> lines)
+{
+    WarpTask task;
+    task.quadCount = 8;
+    task.fragments = 32;
+    task.aluOps = 4;
+    task.texLines = std::move(lines);
+    return task;
+}
+
+} // namespace
+
+TEST(SteadyState, MemoryPathAndWarpDispatchAreAllocationFree)
+{
+    // L1 -> L2 -> IdealMemory plus a shader core on the L1. One round
+    // drives every path a completion can take: L1 and L2 hits, misses,
+    // coalesced misses, MSHR stalls and their retries, and texture
+    // warps whose samples share lines. After a warm-up round has sized
+    // every pool, repeating the round must not touch the heap.
+    EventQueue q;
+    IdealMemory mem(q, 30);
+    CacheConfig l2_cfg;
+    l2_cfg.name = "l2";
+    l2_cfg.sizeBytes = 4 * 1024;
+    l2_cfg.mshrs = 4;
+    Cache l2(q, l2_cfg, mem);
+    CacheConfig l1_cfg;
+    l1_cfg.name = "l1";
+    l1_cfg.sizeBytes = 1024;
+    l1_cfg.mshrs = 2;
+    Cache l1(q, l1_cfg, l2);
+    ShaderCore core(q, 4, l1, "core");
+
+    constexpr int kRounds = 6;
+    constexpr int kWarps = 4;
+    std::uint64_t completions = 0;
+    std::uint64_t retired = 0;
+
+    // Each round reads a fresh window of lines, so L1/L2 misses recur
+    // every round, then re-reads some of them (hits).
+    std::vector<WarpTask> tasks;
+    for (int r = 0; r < kRounds; ++r) {
+        for (int w = 0; w < kWarps; ++w) {
+            const Addr base = static_cast<Addr>(r * 64 + w * 2) * 64;
+            tasks.push_back(textureWarp({base, base + 64, base + 128,
+                                         0x40'0000}));
+        }
+    }
+
+    const auto round = [&](int r) {
+        const Addr base = 0x10'0000 + static_cast<Addr>(r) * 32 * 64;
+        for (int i = 0; i < 12; ++i) {
+            // Two accesses per line: the second coalesces; twelve
+            // distinct lines against two L1 MSHRs stall.
+            for (int dup = 0; dup < 2; ++dup) {
+                l1.access(MemReq{base + static_cast<Addr>(i) * 64, 64,
+                                 false, TrafficClass::Texture, 0,
+                                 [&completions](Tick) { ++completions; }});
+            }
+        }
+        for (int w = 0; w < kWarps; ++w) {
+            core.dispatch(std::move(tasks[static_cast<std::size_t>(
+                              r * kWarps + w)]),
+                          [&retired](const WarpRetireInfo &) {
+                              ++retired;
+                          });
+        }
+        q.runUntil();
+        // Read one line twice in a row: the second read hits.
+        for (int again = 0; again < 2; ++again) {
+            l1.access(MemReq{base, 64, false, TrafficClass::Texture, 0,
+                             [&completions](Tick) { ++completions; }});
+            q.runUntil();
+        }
+    };
+
+    round(0);
+    const std::uint64_t hits0 = l1.hits.value();
+    const std::uint64_t misses0 = l1.misses.value();
+    const std::uint64_t coalesced0 = l1.mshrCoalesced.value();
+    const std::uint64_t stalls0 = l1.mshrStalls.value();
+    const std::uint64_t l2_misses0 = l2.misses.value();
+
+    std::uint64_t allocations = 0;
+    {
+        AllocCounter allocs;
+        for (int r = 1; r < kRounds; ++r)
+            round(r);
+        allocations = allocs.count();
+    }
+    EXPECT_EQ(allocations, 0u)
+        << "steady-state memory path or warp dispatch allocated";
+
+    EXPECT_EQ(completions, std::uint64_t(kRounds) * 26);
+    EXPECT_EQ(retired, std::uint64_t(kRounds) * kWarps);
+    EXPECT_GT(l1.hits.value(), hits0);
+    EXPECT_GT(l1.misses.value(), misses0);
+    EXPECT_GT(l1.mshrCoalesced.value(), coalesced0);
+    EXPECT_GT(l1.mshrStalls.value(), stalls0);
+    EXPECT_GT(l2.misses.value(), l2_misses0);
+    EXPECT_EQ(core.resident(), 0u);
 }

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -28,8 +29,11 @@
 
 #include "cache/cache.hh"
 #include "cache/mem_system.hh"
+#include "check/snapshot.hh"
 #include "common/open_addr_map.hh"
 #include "common/rng.hh"
+#include "dram/dram.hh"
+#include "gpu/gpu.hh"
 #include "gpu/runner.hh"
 #include "sim/event_queue.hh"
 #include "workload/benchmarks.hh"
@@ -340,6 +344,215 @@ TEST(MshrCoalescing, WaitersOnOneLineCompleteTogether)
 }
 
 // ---------------------------------------------------------------------
+// Pooled completions: a fill's waiters form one chain that a single
+// event completes, in arrival order, at the tick the per-waiter events
+// used to share.
+// ---------------------------------------------------------------------
+
+TEST(PooledCompletion, FillWaitersRunInArrivalOrderAtOneTick)
+{
+    EventQueue eq;
+    CountingMemory mem(eq, 100);
+    CacheConfig cfg;
+    cfg.name = "order";
+    cfg.mshrs = 4;
+    Cache cache(eq, cfg, mem);
+
+    std::vector<std::pair<int, Tick>> log;
+    for (int i = 0; i < 6; ++i) {
+        MemReq req;
+        req.addr = 0x1000;
+        req.onComplete = [&log, &eq, i](Tick when) {
+            log.emplace_back(i, when);
+            // Scheduled for the current tick by the first waiter: must
+            // still run after every other waiter of the same fill.
+            if (i == 0) {
+                eq.schedule(eq.now(), [&log, &eq] {
+                    log.emplace_back(-1, eq.now());
+                });
+            }
+        };
+        cache.access(std::move(req));
+    }
+    eq.runUntil();
+
+    ASSERT_EQ(log.size(), 7u);
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(log[i].first, i);
+        EXPECT_EQ(log[i].second, 100u + cfg.hitLatency);
+    }
+    EXPECT_EQ(log[6].first, -1);
+    EXPECT_EQ(log[6].second, 100u + cfg.hitLatency);
+    // The fill, one completion event for all six waiters, and the
+    // event the first waiter scheduled.
+    EXPECT_EQ(eq.eventsExecuted(), 3u);
+}
+
+namespace
+{
+
+/** Shared state of the re-entrancy scenario, so every callback
+ *  captures one pointer plus an id. */
+struct ReentryRig
+{
+    enum class Kind { Hit, Miss, Coalesce, Stall };
+
+    ReentryRig(Kind k, std::uint32_t mshrs)
+        : kind(k), mem(eq, 50), cache(eq, config(mshrs), mem)
+    {}
+
+    static CacheConfig
+    config(std::uint32_t mshrs)
+    {
+        CacheConfig cfg;
+        cfg.name = "reenter";
+        cfg.mshrs = mshrs;
+        return cfg;
+    }
+
+    void
+    access(Addr addr, MemCallback cb)
+    {
+        MemReq req;
+        req.addr = addr;
+        req.onComplete = std::move(cb);
+        cache.access(std::move(req));
+    }
+
+    /** Enough re-entrant accesses to grow the pool past one chunk. */
+    static constexpr int kNested = 150;
+
+    /** Runs inside the first waiter's callback. */
+    void
+    reenter()
+    {
+        for (int k = 0; k < kNested; ++k) {
+            Addr addr = 0x1000; // Hit: the line that just filled
+            if (kind == Kind::Miss || kind == Kind::Stall)
+                addr = 0x100000 + static_cast<Addr>(k) * 64;
+            else if (kind == Kind::Coalesce)
+                addr = 0x200000;
+            access(addr, [this](Tick) { ++nestedDone; });
+        }
+    }
+
+    Kind kind;
+    EventQueue eq;
+    CountingMemory mem;
+    Cache cache;
+    std::vector<std::pair<int, Tick>> order;
+    int nestedDone = 0;
+};
+
+} // namespace
+
+TEST(PooledCompletion, ReentrantWaiterLeavesTheRestOfTheChainIntact)
+{
+    using Kind = ReentryRig::Kind;
+    for (const Kind kind :
+         {Kind::Hit, Kind::Miss, Kind::Coalesce, Kind::Stall}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        ReentryRig rig(kind, kind == Kind::Stall ? 1 : 256);
+        constexpr int kWaiters = 5;
+        for (int i = 0; i < kWaiters; ++i) {
+            rig.access(0x1000, [r = &rig, i](Tick when) {
+                r->order.emplace_back(i, when);
+                if (i == 0)
+                    r->reenter();
+            });
+        }
+        rig.eq.runUntil();
+
+        ASSERT_EQ(rig.order.size(), static_cast<std::size_t>(kWaiters));
+        for (int i = 0; i < kWaiters; ++i) {
+            EXPECT_EQ(rig.order[i].first, i);
+            EXPECT_EQ(rig.order[i].second, rig.order[0].second);
+        }
+        EXPECT_EQ(rig.nestedDone, ReentryRig::kNested);
+        EXPECT_EQ(rig.cache.outstandingMisses(), 0u);
+
+        // Every access is a hit, a miss or a coalesce; a stall is a
+        // miss that also waited for an MSHR.
+        const Cache &c = rig.cache;
+        EXPECT_EQ(c.hits.value() + c.misses.value()
+                      + c.mshrCoalesced.value(),
+                  static_cast<std::uint64_t>(kWaiters
+                                             + ReentryRig::kNested));
+        switch (kind) {
+          case Kind::Hit:
+            EXPECT_EQ(c.hits.value(), std::uint64_t(ReentryRig::kNested));
+            break;
+          case Kind::Miss:
+            EXPECT_EQ(c.misses.value(),
+                      std::uint64_t(1 + ReentryRig::kNested));
+            break;
+          case Kind::Coalesce:
+            EXPECT_EQ(c.mshrCoalesced.value(),
+                      std::uint64_t(kWaiters - 1 + ReentryRig::kNested
+                                    - 1));
+            break;
+          case Kind::Stall:
+            EXPECT_EQ(c.misses.value(),
+                      std::uint64_t(1 + ReentryRig::kNested));
+            EXPECT_EQ(c.mshrStalls.value(),
+                      std::uint64_t(ReentryRig::kNested - 1));
+            break;
+        }
+    }
+}
+
+TEST(PooledCompletion, PostedWriteMissSchedulesNoCompletionEvent)
+{
+    // A write with no callback that misses and allocates: the fill's
+    // waiter chain is empty, so nothing but the fill itself may run. A
+    // no-op completion event would move the clock to 10 + hitLatency.
+    EventQueue eq;
+    CountingMemory mem(eq, 10);
+    Cache cache(eq, CacheConfig{}, mem);
+    cache.access(MemReq{0x2000, 64, true, TrafficClass::ParameterBuffer,
+                        0, nullptr});
+    eq.runUntil();
+
+    EXPECT_EQ(cache.misses.value(), 1u);
+    EXPECT_EQ(mem.reads, 1u);
+    EXPECT_EQ(eq.eventsExecuted(), 1u);
+    EXPECT_EQ(eq.now(), 10u);
+}
+
+TEST(PooledCompletion, SnapshotRefusesAParkedCompletion)
+{
+    // A hit whose completion event has not run holds no MSHR and no
+    // stall entry, only a parked callback; DRAM likewise once the
+    // request has issued. Neither may be snapshotted.
+    {
+        EventQueue eq;
+        CountingMemory mem(eq, 10);
+        Cache cache(eq, CacheConfig{}, mem);
+        cache.access(MemReq{0x40, 64, false, TrafficClass::Texture, 0,
+                            nullptr});
+        eq.runUntil();
+        cache.access(MemReq{0x40, 64, false, TrafficClass::Texture, 0,
+                            [](Tick) {}});
+        ASSERT_EQ(cache.outstandingMisses(), 0u);
+        SnapshotWriter w{SnapshotHeader{}};
+        w.beginSection(SnapSection::Caches);
+        EXPECT_DEATH(cache.saveState(w), "parked completion");
+    }
+    {
+        EventQueue eq;
+        Dram dram(eq, DramConfig{});
+        dram.access(MemReq{0x40, 64, false, TrafficClass::Texture, 0,
+                           [](Tick) {}});
+        eq.runUntil(DramConfig{}.ctrlLatency);
+        ASSERT_EQ(dram.pendingRequests(), 0u);
+        ASSERT_FALSE(eq.empty());
+        SnapshotWriter w{SnapshotHeader{}};
+        w.beginSection(SnapSection::Dram);
+        EXPECT_DEATH(dram.saveState(w), "parked completion");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Fixed-seed golden counter dump.
 // ---------------------------------------------------------------------
 
@@ -405,4 +618,51 @@ TEST(GoldenCounters, PinnedRunCounterDumpIsUnchanged)
         << dump;
     EXPECT_EQ(run->frames[1].totalCycles, kGoldenFrame1Cycles);
     EXPECT_EQ(run->dramAccesses(), kGoldenDramReads);
+}
+
+TEST(GoldenCounters, PinnedRunSnapshotBytesAreUnchanged)
+{
+    // The same pinned run, snapshotted at its end: every persisted byte
+    // is pinned except the event queue's sequence and executed-event
+    // counters (and the CRC of the section holding them), which count
+    // host events rather than modeled state and fall whenever events
+    // are merged.
+    GpuConfig cfg = GpuConfig::libra(2, 4);
+    cfg.screenWidth = 512;
+    cfg.screenHeight = 288;
+    const Scene scene(findBenchmark("CCS"), 512, 288);
+    Gpu gpu(cfg);
+    for (std::uint32_t f = 0; f < 2; ++f)
+        gpu.renderFrame(scene.frame(f), scene.textures());
+
+    SnapshotHeader header;
+    header.codeVersion = 0; // keep the pin independent of the version
+    SnapshotWriter w(header);
+    gpu.saveState(w);
+    std::vector<std::uint8_t> bytes = w.finish();
+
+    // Header (44 bytes), then the Engine section: u32 tag, u64 length,
+    // payload {now, nextSeq, executed, ...}, u32 CRC.
+    constexpr std::size_t kEngineTag = 44;
+    constexpr std::size_t kPayload = kEngineTag + 12;
+    ASSERT_GT(bytes.size(), kPayload + 24);
+    const auto le64 = [&bytes](std::size_t at) {
+        std::uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = (v << 8) | bytes[at + static_cast<std::size_t>(i)];
+        return v;
+    };
+    ASSERT_EQ(le64(kEngineTag) & 0xffffffffu,
+              static_cast<std::uint64_t>(SnapSection::Engine));
+    EXPECT_EQ(le64(kPayload + 16), gpu.eventsExecuted());
+    const std::size_t crc_at = kPayload + le64(kEngineTag + 4);
+    std::fill_n(bytes.begin() + kPayload + 8, 16, 0);
+    std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(crc_at), 4, 0);
+
+    const std::uint64_t hash =
+        fnv1a(std::string(bytes.begin(), bytes.end()));
+    constexpr std::uint64_t kGoldenSnapshotHash = 16602332517472915813ull;
+    EXPECT_EQ(hash, kGoldenSnapshotHash)
+        << "snapshot bytes changed; new hash " << hash << ", "
+        << bytes.size() << " bytes";
 }

@@ -143,6 +143,42 @@ TEST(ShaderCore, SlotAccounting)
     EXPECT_EQ(rig.core.freeSlots(), 2u);
 }
 
+TEST(ShaderCore, RetireContinuationCanRedispatchIntoItsOwnSlot)
+{
+    // One warp slot: each retire callback immediately dispatches the
+    // next warp, which reuses the flight the retiring warp just left.
+    // Its info must be the retiring warp's, not the successor's.
+    struct Chain
+    {
+        ShaderCore *core;
+        std::vector<TileId> tiles;
+        TileId nextTile = 1;
+
+        void
+        retire(const WarpRetireInfo &info)
+        {
+            tiles.push_back(info.tile);
+            if (nextTile > 3)
+                return;
+            WarpTask task = texWarp(2, {0x40u * nextTile});
+            task.tile = nextTile++;
+            core->dispatch(std::move(task),
+                           [this](const WarpRetireInfo &i) { retire(i); });
+        }
+    };
+    Rig rig(20, 1);
+    Chain chain{&rig.core, {}};
+    WarpTask first = texWarp(2, {0x0});
+    first.tile = 0;
+    rig.core.dispatch(std::move(first), [&chain](const WarpRetireInfo &i) {
+        chain.retire(i);
+    });
+    rig.eq.runUntil();
+    EXPECT_EQ(chain.tiles, (std::vector<TileId>{0, 1, 2, 3}));
+    EXPECT_EQ(rig.core.warpsExecuted.value(), 4u);
+    EXPECT_EQ(rig.core.freeSlots(), 1u);
+}
+
 TEST(ShaderCore, RetireInfoCarriesTaskAttributes)
 {
     Rig rig;
