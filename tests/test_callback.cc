@@ -229,6 +229,42 @@ TEST(SmallCallback, ScheduleIsAllocationFree)
     EXPECT_GT(sum, 0u);
 }
 
+TEST(SmallCallback, NearAndFarSchedulingIsAllocationFreeAfterWarmUp)
+{
+    // A repeated mix of same-tick, near and overflow (>= kWheel ahead)
+    // events, interleaved with execution. The warm-up pass sizes the
+    // callback pool and the overflow heap; every later pass has the
+    // same shape relative to now() and must not touch the heap.
+    constexpr Tick W = EventQueue::kWheel;
+    EventQueue q;
+    std::uint64_t sum = 0;
+    const auto pass = [&] {
+        for (int i = 0; i < 3000; ++i) {
+            const Tick k = static_cast<Tick>(i);
+            const Tick delta = i % 3 == 0   ? 0
+                               : i % 3 == 1 ? 1 + k % 127
+                                            : W + (k * 37) % (3 * W);
+            q.scheduleAfter(delta, [&q, &sum, k] {
+                sum += k;
+                if (k % 5 == 0) // re-entrant same-tick work
+                    q.scheduleAfter(0, [&sum] { ++sum; });
+            });
+            if (i % 4 == 3)
+                q.runOne();
+        }
+        q.runUntil();
+    };
+    pass();
+
+    AllocCounter allocs;
+    for (int r = 0; r < 4; ++r)
+        pass();
+    EXPECT_EQ(allocs.count(), 0u)
+        << "steady-state near and far scheduling must not touch the heap";
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(sum, 0u);
+}
+
 TEST(SmallCallback, MemCallbackShapeIsAllocationFree)
 {
     // IdealMemory (and the tests' memory doubles) wrap a MemCallback +

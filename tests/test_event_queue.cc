@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/event_queue.hh"
 
 using namespace libra;
@@ -127,4 +132,190 @@ TEST(EventQueue, PendingReflectsQueueSize)
     EXPECT_EQ(eq.pending(), 2u);
     eq.runOne();
     EXPECT_EQ(eq.pending(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Timing wheel: differential ordering against a reference model.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Drives an EventQueue and a reference std::multimap keyed by
+ * (when, seq) side by side. Every event checks, as it runs, that it is
+ * the model's earliest entry; every driver step checks the queue's
+ * pending count, emptiness and next tick against the model.
+ */
+class WheelHarness
+{
+  public:
+    static constexpr Tick W = EventQueue::kWheel;
+
+    explicit WheelHarness(std::uint64_t seed) : rng(seed) {}
+
+    /** Deltas on and around the wheel's edges, plus near and far mixes. */
+    Tick
+    pickDelta()
+    {
+        static constexpr Tick edges[] = {0, 1, W - 1, W, W + 1, 10 * W};
+        switch (rng.next() % 4) {
+          case 0:
+          case 1:
+            return edges[rng.below(std::size(edges))];
+          case 2:
+            return 2 + rng.below(62);
+          default:
+            return rng.below(3 * W);
+        }
+    }
+
+    void
+    scheduleOne(Tick delta)
+    {
+        const Tick when = eq.now() + delta;
+        const std::uint64_t id = nextId++;
+        model.emplace(std::make_pair(when, seq++), id);
+        eq.schedule(when, [this, when, id] { onRun(when, id); });
+    }
+
+    /** The model's view of nextEventTick(), pending() and empty(). */
+    void
+    checkAgainstModel() const
+    {
+        EXPECT_EQ(eq.pending(), model.size());
+        EXPECT_EQ(eq.empty(), model.empty());
+        EXPECT_EQ(eq.nextEventTick(),
+                  model.empty() ? maxTick : model.begin()->first.first);
+    }
+
+    EventQueue eq;
+    Rng rng;
+    std::multimap<std::pair<Tick, std::uint64_t>, std::uint64_t> model;
+    std::uint64_t seq = 0;
+    std::uint64_t nextId = 0;
+    std::uint64_t ran = 0;
+
+  private:
+    void
+    onRun(Tick when, std::uint64_t id)
+    {
+        ASSERT_FALSE(model.empty()) << "event " << id << " ran twice";
+        const auto front = model.begin();
+        ASSERT_EQ(front->second, id)
+            << "ran event " << id << " for tick " << when
+            << " ahead of event " << front->second << " for tick "
+            << front->first.first;
+        ASSERT_EQ(eq.now(), when);
+        model.erase(front);
+        ++ran;
+        // Re-entrant scheduling: grow while small, shrink while large.
+        const std::uint64_t n = rng.below(model.size() < 64 ? 3 : 2);
+        for (std::uint64_t i = 0; i < n; ++i)
+            scheduleOne(pickDelta());
+    }
+};
+
+} // namespace
+
+TEST(EventQueueWheel, MatchesReferenceModelEventByEvent)
+{
+    constexpr Tick W = WheelHarness::W;
+    for (const std::uint64_t seed : {1ull, 0xC0FFEEull, 104729ull}) {
+        SCOPED_TRACE(seed);
+        WheelHarness h(seed);
+        for (int step = 0; step < 20000 && !HasFailure(); ++step) {
+            switch (h.rng.next() % 6) {
+              case 0:
+              case 1:
+                h.scheduleOne(h.pickDelta());
+                break;
+              case 2: {
+                const bool expected = !h.model.empty();
+                EXPECT_EQ(h.eq.runOne(), expected);
+                break;
+              }
+              case 3: {
+                const Tick limit = h.eq.now() + h.pickDelta();
+                h.eq.runUntil(limit);
+                if (!h.model.empty()) {
+                    EXPECT_GT(h.model.begin()->first.first, limit);
+                }
+                break;
+              }
+              case 4: {
+                // Any tick up to the next pending event is a legal
+                // target; with nothing pending, jump up to 10 wheels.
+                const Tick next = h.eq.nextEventTick();
+                const Tick span = next == maxTick ? 10 * W
+                                                  : next - h.eq.now();
+                const Tick to = h.eq.now() + h.rng.below(span + 1);
+                h.eq.advanceTo(to);
+                EXPECT_EQ(h.eq.now(), to);
+                break;
+              }
+              default:
+                // A limit already in the past runs nothing.
+                if (h.eq.now() > 0) {
+                    EXPECT_EQ(h.eq.runUntil(h.eq.now() - 1), 0u);
+                }
+                break;
+            }
+            h.checkAgainstModel();
+        }
+        h.eq.runUntil();
+        EXPECT_TRUE(h.model.empty());
+        h.checkAgainstModel();
+        EXPECT_EQ(h.eq.eventsExecuted(), h.ran);
+        EXPECT_EQ(h.ran, h.nextId);
+        // The clock wrapped the wheel many times over.
+        EXPECT_GT(h.eq.now(), 100 * W);
+    }
+}
+
+TEST(EventQueueWheel, OverflowEntryRunsBeforeLaterDirectAppendForSameTick)
+{
+    // X is scheduled kWheel + 5 ticks ahead, so it waits in the
+    // overflow heap; Y targets the same tick once that tick is inside
+    // the window. X's smaller seq must win.
+    constexpr Tick W = EventQueue::kWheel;
+    constexpr Tick X = W + 5;
+    {
+        EventQueue eq;
+        std::vector<char> order;
+        eq.schedule(X, [&] { order.push_back('X'); });
+        eq.schedule(6, [&] {
+            eq.schedule(X, [&] { order.push_back('Y'); });
+        });
+        eq.runUntil();
+        EXPECT_EQ(order, (std::vector<char>{'X', 'Y'}));
+        EXPECT_EQ(eq.now(), X);
+    }
+    {
+        // The same, entering the window through advanceTo().
+        EventQueue eq;
+        std::vector<char> order;
+        eq.schedule(X, [&] { order.push_back('X'); });
+        eq.advanceTo(6);
+        eq.schedule(X, [&] { order.push_back('Y'); });
+        eq.advanceTo(X);
+        eq.schedule(X, [&] { order.push_back('Z'); });
+        eq.runUntil();
+        EXPECT_EQ(order, (std::vector<char>{'X', 'Y', 'Z'}));
+    }
+    {
+        // With nothing in the wheel, runOne() jumps straight to the
+        // overflow top; two overflow entries for one tick keep seq
+        // order, ahead of anything scheduled at that tick.
+        EventQueue eq;
+        std::vector<char> order;
+        eq.schedule(10 * W, [&] {
+            order.push_back('A');
+            eq.schedule(10 * W, [&] { order.push_back('C'); });
+        });
+        eq.schedule(10 * W, [&] { order.push_back('B'); });
+        EXPECT_EQ(eq.nextEventTick(), 10 * W);
+        eq.runUntil();
+        EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
+    }
 }

@@ -1,13 +1,13 @@
 /**
  * @file
  * Performance-optimization contracts: the observable semantics the
- * hot-path rewrites (pooled/bucketed EventQueue, open-addressed MSHR
+ * hot-path rewrites (timing-wheel EventQueue, open-addressed MSHR
  * index) must preserve exactly.
  *
  * Three families:
- *  - same-tick FIFO ordering through the EventQueue's same-tick batch,
- *    including events scheduled from inside running events and slot
- *    recycling through the free-list;
+ *  - same-tick FIFO ordering through the EventQueue's per-tick wheel
+ *    bucket, including events scheduled from inside running events and
+ *    slot recycling through the free-list;
  *  - MSHR coalescing equivalence: the open-addressed index must track
  *    exactly the set of outstanding line fills a reference map tracks,
  *    under heavy alloc/free churn, growth and backward-shift deletion;
@@ -47,8 +47,8 @@ using namespace libra;
 
 TEST(SameTickFifo, EventsScheduledDuringTickRunAfterPreScheduled)
 {
-    // A and B are heap entries for tick 5 (scheduled before the tick
-    // starts); C and D enter the same-tick batch from inside A. The
+    // A and B are queued for tick 5 before the tick starts; C and D
+    // are appended to the same tick's bucket from inside A. The
     // (when, seq) contract requires A, B, C, D.
     EventQueue eq;
     std::vector<char> order;
@@ -91,8 +91,8 @@ TEST(SameTickFifo, BatchDrainsBeforeTimeAdvances)
         order.push_back('A');
         eq.schedule(5, [&] { order.push_back('C'); });
         eq.schedule(6, [&] { order.push_back('G'); });
-        // While the same-tick batch is non-empty the queue must report
-        // the current tick as next, not the tick-6 heap top.
+        // While the current tick's bucket is non-empty the queue must
+        // report the current tick as next, not tick 6.
         EXPECT_EQ(eq.nextEventTick(), 5u);
     });
     eq.runUntil();
@@ -107,7 +107,7 @@ TEST(SameTickFifo, PendingCountsTheSameTickBatch)
         eq.schedule(1, [] {});
         eq.schedule(1, [] {});
         eq.schedule(2, [] {});
-        // One tick-2 heap entry plus two batch entries.
+        // One tick-2 entry plus two more for the current tick.
         EXPECT_EQ(eq.pending(), 3u);
         EXPECT_FALSE(eq.empty());
     });
