@@ -63,7 +63,7 @@ using MemCallback = SmallCallback<void(Tick), 24>;
  * chains: completeChain() runs a whole chain in arrival order.
  *
  * Not thread-safe: a pool belongs to one component, hence to the one
- * event queue (or shard) that component runs on.
+ * event queue that component runs on.
  */
 class CompletionPool
 {
@@ -247,15 +247,6 @@ class ReplicationTracker
     /** Register a sibling cache's install/evict hooks. */
     void attach(Cache &cache);
 
-    /**
-     * Direct recording interface, used instead of attach() by the
-     * sharded engine: install/evict hooks fire on worker threads there,
-     * so each shard buffers its events and the coordinator replays them
-     * here in a fixed (shard, sequence) order at window barriers.
-     */
-    void recordInstall(Addr line);
-    void recordEvict(Addr line);
-
     std::uint64_t installs() const { return totalInstalls; }
     std::uint64_t replicatedInstalls() const { return replicated; }
 
@@ -289,6 +280,9 @@ class ReplicationTracker
     void importState(SnapshotReader &r);
 
   private:
+    void recordInstall(Addr line);
+    void recordEvict(Addr line);
+
     /** Sized for a texture-heavy L1 working set; grows if exceeded. The
      *  install/evict hooks fire on every L1 line turn-over, so this map
      *  shares the open-addressed design of the MSHR index. */

@@ -166,8 +166,6 @@ farmRequestLine(const FarmRequest &req)
         w.value(req.firstFrame);
         w.key("config");
         w.value(req.config);
-        w.key("sim_threads");
-        w.value(req.simThreads);
         if (!req.figure.empty()) {
             w.key("figure");
             w.value(req.figure);
@@ -257,11 +255,20 @@ parseFarmRequest(const std::string &line)
     if (!config.isOk())
         return config.status();
     req.config = *config;
+    // Older clients may still send sim_threads; 0 always meant the one
+    // event loop that remains, anything else asked for the removed
+    // sharded engine and must not silently get a different timing
+    // reference.
     if (const JsonValue *st = doc->find("sim_threads")) {
         Result<std::uint32_t> v = asU32(st, "sim_threads");
         if (!v.isOk())
             return v.status();
-        req.simThreads = *v;
+        if (*v != 0) {
+            return Status::error(ErrorCode::InvalidArgument,
+                                 "farm request: sim_threads ", *v,
+                                 " asks for the sharded engine, which was "
+                                 "removed; omit the field");
+        }
     }
     if (const JsonValue *fig = doc->find("figure");
         fig && fig->isString()) {
@@ -452,7 +459,6 @@ farmRequestConfig(const FarmRequest &req)
         return cfg.status();
     cfg->screenWidth = req.width;
     cfg->screenHeight = req.height;
-    cfg->simThreads = req.simThreads;
     if (Status st = cfg->validate(); !st.isOk()) {
         return Status::error(ErrorCode::InvalidArgument,
                              "farm request '", req.id, "': ",

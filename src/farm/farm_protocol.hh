@@ -66,7 +66,6 @@ struct FarmRequest
     std::uint32_t frames = 4;
     std::uint32_t firstFrame = 0;
     std::string config = "libra:2x4"; //!< config spec (file header)
-    std::uint32_t simThreads = 0;     //!< sharded-engine threads
     std::string figure;               //!< free-form figure tag, echoed
 };
 
@@ -110,9 +109,9 @@ std::string farmResponseLine(const FarmResponse &resp);
 Result<FarmResponse> parseFarmResponse(const std::string &line);
 
 /**
- * Build the GpuConfig a request describes: preset spec + resolution +
- * simThreads. The config is validated; InvalidArgument names the bad
- * field so the client sees an attributable error.
+ * Build the GpuConfig a request describes: preset spec + resolution.
+ * The config is validated; InvalidArgument names the bad field so the
+ * client sees an attributable error.
  */
 Result<GpuConfig> farmRequestConfig(const FarmRequest &req);
 

@@ -74,10 +74,11 @@ TEST(FarmProtocol, RequestRoundTripsAllFields)
     req.frames = 8;
     req.firstFrame = 3;
     req.config = "supertile:4:2x4";
-    req.simThreads = 2;
     req.figure = "fig9";
 
-    Result<FarmRequest> back = parseFarmRequest(farmRequestLine(req));
+    const std::string line = farmRequestLine(req);
+    EXPECT_EQ(line.find("sim_threads"), std::string::npos);
+    Result<FarmRequest> back = parseFarmRequest(line);
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     EXPECT_EQ(back->op, FarmOp::Simulate);
     EXPECT_EQ(back->id, req.id);
@@ -87,7 +88,6 @@ TEST(FarmProtocol, RequestRoundTripsAllFields)
     EXPECT_EQ(back->frames, req.frames);
     EXPECT_EQ(back->firstFrame, req.firstFrame);
     EXPECT_EQ(back->config, req.config);
-    EXPECT_EQ(back->simThreads, req.simThreads);
     EXPECT_EQ(back->figure, req.figure);
 }
 
@@ -104,6 +104,28 @@ TEST(FarmProtocol, NonSimulateOpsRoundTrip)
         EXPECT_EQ(back->op, op);
         EXPECT_EQ(back->id, farmOpName(op));
     }
+}
+
+TEST(FarmProtocol, RequestNamingRemovedEngineIsRejected)
+{
+    // A request asking for the removed sharded engine must fail loudly
+    // rather than be simulated on the one remaining timing reference;
+    // sim_threads 0 always meant that reference and still parses.
+    FarmRequest req;
+    req.id = "legacy";
+    std::string line = farmRequestLine(req);
+    ASSERT_EQ(line.back(), '}');
+    line.pop_back();
+
+    Result<FarmRequest> zero = parseFarmRequest(line + ",\"sim_threads\":0}");
+    EXPECT_TRUE(zero.isOk()) << zero.status().toString();
+
+    Result<FarmRequest> four = parseFarmRequest(line + ",\"sim_threads\":4}");
+    ASSERT_FALSE(four.isOk());
+    EXPECT_EQ(four.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(four.status().message().find("sharded engine"),
+              std::string::npos)
+        << four.status().toString();
 }
 
 TEST(FarmProtocol, RequestParseRejectsGarbage)
@@ -235,20 +257,18 @@ TEST(FarmProtocol, ConfigSpecRejectsMalformedSpecs)
     }
 }
 
-TEST(FarmProtocol, RequestConfigAppliesResolutionAndThreads)
+TEST(FarmProtocol, RequestConfigAppliesResolution)
 {
     FarmRequest req;
     req.benchmark = "CCS";
     req.width = 640;
     req.height = 360;
     req.config = "libra:2x2";
-    req.simThreads = 2;
 
     Result<GpuConfig> cfg = farmRequestConfig(req);
     ASSERT_TRUE(cfg.isOk()) << cfg.status().toString();
     EXPECT_EQ(cfg->screenWidth, 640u);
     EXPECT_EQ(cfg->screenHeight, 360u);
-    EXPECT_EQ(cfg->simThreads, 2u);
     EXPECT_EQ(cfg->rasterUnits, 2u);
     EXPECT_EQ(cfg->coresPerRu, 2u);
 }
@@ -266,7 +286,7 @@ TEST(FarmProtocol, RequestConfigRejectsInvalidResolution)
 TEST(ResultCacheTest, KeyToStringIsCanonical)
 {
     EXPECT_EQ(sampleKey().toString(),
-              "cfg:0123456789abcdef:scene:fedcba9876543210:f4@2:v2");
+              "cfg:0123456789abcdef:scene:fedcba9876543210:f4@2:v3");
 }
 
 TEST(ResultCacheTest, KeyDistinguishesEveryField)
