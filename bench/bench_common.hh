@@ -24,36 +24,22 @@
  *   --backoff-ms N        base retry delay, doubling per attempt
  *   --quarantine N        permanent failures per config before its
  *                         remaining jobs fail fast (0 = off)
- *   --journal FILE        append-only crash-safe result journal
- *   --resume              replay journaled successes, re-run the rest
  *   --keep-going          exit 0 even if jobs failed (default: failed
  *                         jobs make the bench exit nonzero)
  *   --faults SPEC         armed fault plan (chaos testing; see
  *                         FaultPlan::parse)
  *
  * Checkpointing (DESIGN.md §10):
- *   --checkpoint-dir DIR  snapshot directory for periodic checkpoints
- *   --checkpoint-every N  write a snapshot every N frames (needs
- *                         --checkpoint-dir; 0 = never)
- *   --from-checkpoint     restore each job from its freshest usable
- *                         snapshot in --checkpoint-dir
+ *   --checkpoint-dir DIR  the sweep's result store: every job restores
+ *                         from its freshest snapshot there and writes
+ *                         its final one, so re-running a killed (or
+ *                         finished) sweep against the same DIR resumes
+ *                         it (or renders nothing)
+ *   --checkpoint-every N  also snapshot every N frames (needs
+ *                         --checkpoint-dir; 0 = final frame only)
  *   --warm-prefix N       fork jobs sharing an N-frame warm prefix
  *                         (equal warmPrefixHash) from one in-memory
  *                         snapshot instead of re-rendering it (0 = off)
- *
- * Sim-farm (DESIGN.md §12) — every bench binary can run as a one-shot
- * resident farm server instead of executing its figure:
- *   --serve               serve simulation requests until a shutdown
- *                         request arrives, then exit
- *   --socket PATH         AF_UNIX socket path (default libra_farm.sock)
- *   --cache-dir DIR       persistent result cache (default farm_cache)
- *   --farm-journal FILE   crash-safe accepted-request journal
- *   --farm-workers N      simulation worker threads (default 1)
- *   --max-queue N         queued-request admission bound (default 64)
- *   --client-quota N      outstanding requests per connection (16)
- *   --cache-max-entries N trim the cache to N entries (0 = unlimited)
- * The failure-policy flags above (--deadline-ms, --retries,
- * --backoff-ms, --quarantine) apply per served simulation.
  *
  * Default runs use a representative subset at reduced resolution so the
  * whole bench directory executes in minutes; --full reproduces the
@@ -72,11 +58,9 @@
 
 #include "common/cli.hh"
 #include "common/log.hh"
-#include "farm/farm_server.hh"
 #include "gpu/policy_registry.hh"
 #include "gpu/runner.hh"
 #include "sim/sweep.hh"
-#include "sim/sweep_journal.hh"
 #include "trace/json.hh"
 #include "trace/report.hh"
 #include "trace/run_report.hh"
@@ -104,15 +88,12 @@ struct BenchOptions
     std::uint32_t retries = 0;     //!< transient-failure retries
     std::uint64_t backoffMs = 100; //!< base retry delay
     std::uint32_t quarantine = 0;  //!< strikes before fast-fail; 0 = off
-    std::string journal;           //!< crash-safe journal ("" = none)
-    bool resume = false;           //!< replay journaled successes
     bool keepGoing = false;        //!< failed jobs don't fail the bench
     std::string faults;            //!< FaultPlan spec ("" = none)
 
     // Checkpointing (forwarded into SweepPolicy::checkpoint by Sweep).
     std::string checkpointDir;       //!< snapshot dir ("" = off)
     std::uint32_t checkpointEvery = 0; //!< frames between snapshots
-    bool fromCheckpoint = false;     //!< restore jobs from snapshots
     std::uint32_t warmPrefix = 0;    //!< warm-prefix fork length; 0=off
 };
 
@@ -141,47 +122,12 @@ parseBenchOptions(int argc, char **argv,
         "jobs", "outdir", "report-out", "trace-out",
         // failure policy
         "deadline-ms", "retries", "backoff-ms", "quarantine",
-        "journal", "resume", "keep-going", "faults",
+        "keep-going", "faults",
         // checkpointing
-        "checkpoint-dir", "checkpoint-every", "from-checkpoint",
-        "warm-prefix",
-        // sim-farm one-shot server mode
-        "serve", "socket", "cache-dir", "farm-journal", "farm-workers",
-        "max-queue", "client-quota", "cache-max-entries"};
+        "checkpoint-dir", "checkpoint-every", "warm-prefix"};
     known.insert(known.end(), extra_options.begin(),
                  extra_options.end());
     const CliArgs args(argc, argv, known);
-
-    if (args.getBool("serve")) {
-        // One-shot farm mode: this process becomes a resident sweep
-        // service and never runs its own figure. Exits when a client
-        // sends a shutdown request (or the process is killed — the
-        // journal makes that safe).
-        FarmOptions farm;
-        farm.socketPath = args.get("socket", "libra_farm.sock");
-        farm.cacheDir = args.get("cache-dir", "farm_cache");
-        farm.journalPath = args.get("farm-journal", "");
-        farm.workers =
-            static_cast<unsigned>(args.getUint("farm-workers", 1));
-        farm.maxQueue =
-            static_cast<std::uint32_t>(args.getUint("max-queue", 64));
-        farm.clientQuota = static_cast<std::uint32_t>(
-            args.getUint("client-quota", 16));
-        farm.cacheMaxEntries = args.getUint("cache-max-entries", 0);
-        farm.deadlineMs = args.getUint("deadline-ms", 0);
-        farm.maxRetries =
-            static_cast<std::uint32_t>(args.getUint("retries", 0));
-        farm.backoffMs = args.getUint("backoff-ms", 100);
-        farm.quarantineThreshold =
-            static_cast<std::uint32_t>(args.getUint("quarantine", 0));
-        Result<std::unique_ptr<FarmServer>> server =
-            FarmServer::start(std::move(farm));
-        if (!server.isOk())
-            fatal("--serve: ", server.status().toString());
-        (*server)->wait();
-        server->reset(); // join threads before exiting
-        std::exit(0);
-    }
 
     BenchOptions opt;
     opt.full = args.getBool("full");
@@ -220,24 +166,16 @@ parseBenchOptions(int argc, char **argv,
     opt.backoffMs = args.getUint("backoff-ms", opt.backoffMs);
     opt.quarantine = static_cast<std::uint32_t>(
         args.getUint("quarantine", 0));
-    opt.journal = args.get("journal", "");
-    opt.resume = args.getBool("resume");
     opt.keepGoing = args.getBool("keep-going");
     opt.faults = args.get("faults", "");
-    if (opt.resume && opt.journal.empty())
-        fatal("--resume needs --journal FILE");
 
     opt.checkpointDir = args.get("checkpoint-dir", "");
     opt.checkpointEvery = static_cast<std::uint32_t>(
         args.getUint("checkpoint-every", 0));
-    opt.fromCheckpoint = args.getBool("from-checkpoint");
     opt.warmPrefix = static_cast<std::uint32_t>(
         args.getUint("warm-prefix", 0));
-    if ((opt.checkpointEvery != 0 || opt.fromCheckpoint)
-        && opt.checkpointDir.empty()) {
-        fatal("--checkpoint-every / --from-checkpoint need "
-              "--checkpoint-dir DIR");
-    }
+    if (opt.checkpointEvery != 0 && opt.checkpointDir.empty())
+        fatal("--checkpoint-every needs --checkpoint-dir DIR");
 
     libra_assert(opt.frames >= 2, "benches need at least 2 frames");
     return opt;
@@ -306,7 +244,7 @@ mustMemoryTimeFraction(const BenchmarkSpec &spec, const GpuConfig &cfg,
  *
  * Failed jobs no longer abort the process mid-sweep: the sweep runs to
  * completion under the failure policy (deadlines, retries, quarantine,
- * journal — see SweepPolicy), a per-job failure summary goes to stderr
+ * checkpoint dir — see SweepPolicy), a per-job failure summary goes to stderr
  * and the --report-out document records every failure. Failed handles
  * read as zeroed placeholder results so the bench's printing loop still
  * works (graceful degradation); the bench's main() must end with
@@ -324,8 +262,6 @@ class Sweep
         policy.maxRetries = opt.retries;
         policy.backoffMs = opt.backoffMs;
         policy.quarantineThreshold = opt.quarantine;
-        policy.journalPath = opt.journal;
-        policy.resume = opt.resume;
         if (!opt.faults.empty()) {
             Result<FaultPlan> plan = FaultPlan::parse(opt.faults);
             if (!plan.isOk())
@@ -334,7 +270,6 @@ class Sweep
         }
         policy.checkpoint.dir = opt.checkpointDir;
         policy.checkpoint.every = opt.checkpointEvery;
-        policy.checkpoint.fromCheckpoint = opt.fromCheckpoint;
         policy.checkpoint.warmPrefixFrames = opt.warmPrefix;
     }
 
@@ -364,6 +299,14 @@ class Sweep
         jobs.clear();
         killed = out.killed;
         warmForks = out.warmPrefixForks;
+        if (!policy.checkpoint.dir.empty()) {
+            std::fprintf(stderr,
+                         "sweep: %llu of %zu jobs restored whole from "
+                         "%s\n",
+                         static_cast<unsigned long long>(
+                             out.restoredWhole),
+                         out.jobs.size(), policy.checkpoint.dir.c_str());
+        }
 
         results.reserve(out.jobs.size());
         for (std::size_t i = 0; i < out.jobs.size(); ++i) {
@@ -385,7 +328,7 @@ class Sweep
             results.push_back(placeholder(submitted[i]));
         }
 
-        if (!failures.empty()) {
+        if (!failures.empty() || killed) {
             std::fprintf(stderr, "sweep: %zu of %zu jobs failed%s\n",
                          failures.size(), results.size(),
                          killed ? " (simulated kill fired)" : "");
@@ -417,11 +360,13 @@ class Sweep
     }
 
     /** Process exit code under the failure policy: nonzero when any
-     *  job failed, unless --keep-going. Bench mains return this. */
+     *  job failed, unless --keep-going, and always after a simulated
+     *  kill (a killed process never exits cleanly). Bench mains return
+     *  this. */
     int
     exitCode() const
     {
-        return failures.empty() || keepGoing ? 0 : 1;
+        return killed || (!failures.empty() && !keepGoing) ? 1 : 0;
     }
 
     /** Jobs that forked from a shared warm-prefix snapshot (valid

@@ -390,12 +390,12 @@ main(int argc, char **argv)
                        {"frames", "width", "height", "benchmarks",
                         "full", "csv", "jobs", "outdir", "report-out",
                         "trace-out", "deadline-ms", "retries",
-                        "backoff-ms", "quarantine", "journal", "resume",
+                        "backoff-ms", "quarantine",
                         "keep-going", "faults", "fuzz",
                         "checkpoint-fuzz", "seed", "policies",
                         "policy",
                         "checkpoint-dir", "checkpoint-every",
-                        "from-checkpoint", "warm-prefix"});
+                        "warm-prefix"});
 
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 2024));

@@ -45,10 +45,10 @@ main(int argc, char **argv)
                  std::to_string(d.tRcd) + "/" + std::to_string(d.tRp)
                      + "/" + std::to_string(d.tCas)});
     dram.addRow({"Burst (64B)", std::to_string(d.tBurst) + " cycles"});
+    const std::string unloaded =
+        std::to_string(d.ctrlLatency + d.tRcd + d.tCas + d.tBurst);
     dram.addRow({"Unloaded latency",
-                 "~" + std::to_string(d.ctrlLatency + d.tRcd + d.tCas
-                                      + d.tBurst)
-                     + " cycles (paper: 50-100)"});
+                 "~" + unloaded + " cycles (paper: 50-100)"});
     dram.addRow({"Scheduler", "FR-FCFS, read priority, write drain"});
     printTable(dram, opt);
 

@@ -76,7 +76,7 @@ applyParam(FaultSpec &spec, std::string_view key, std::uint64_t value)
         spec.job = value;
     else if (key == "count")
         spec.count = value;
-    else if (key == "offset" || key == "append")
+    else if (key == "offset" || key == "snapshot")
         spec.offset = value;
     else {
         return Status::error(ErrorCode::InvalidArgument,
@@ -115,7 +115,7 @@ FaultPlan::toString() const
             os << ':' << f.target << "@offset=" << f.offset;
             break;
           case FaultKind::KillPoint:
-            os << "@append=" << f.offset;
+            os << "@snapshot=" << f.offset;
             break;
         }
     }
@@ -329,7 +329,7 @@ FaultInjector::failAttempt(std::uint64_t attempt) const
 }
 
 std::uint64_t
-FaultInjector::killAtAppend() const
+FaultInjector::killAtSnapshot() const
 {
     for (const FaultSpec &f : thePlan.faults) {
         if (f.kind == FaultKind::KillPoint)

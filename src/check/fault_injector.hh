@@ -5,13 +5,13 @@
  * A FaultPlan is a declarative list of faults to inject into a sweep —
  * watchdog trips at chosen frames, dropped cache fills (generalizing
  * Cache::testDropHitAccounting), DRAM request stalls, transient
- * job-level Status failures, trace-file corruption, and simulated
- * process kills in the journal path. Plans parse from / print to a
- * compact one-line spec so CI jobs and the chaos-soak test can name a
- * fault scenario by string + seed and reproduce it exactly:
+ * job-level Status failures, trace-file corruption, and a simulated
+ * process kill at a sweep's Nth checkpoint write. Plans parse from /
+ * print to a compact one-line spec so CI jobs and the chaos-soak test
+ * can name a fault scenario by string + seed and reproduce it exactly:
  *
  *   seed=42;watchdog@frame=1;dropfill:l2@every=64;
- *   dramstall@every=128,ticks=500;transient@job=3,count=2;kill@append=5
+ *   dramstall@every=128,ticks=500;transient@job=3,count=2;kill@snapshot=5
  *
  * A FaultInjector is the armed, per-job/per-attempt view of a plan:
  * SweepRunner builds a fresh one for every job attempt (so a retried
@@ -49,7 +49,7 @@ enum class FaultKind
     DramStall,     //!< add latency to every Nth DRAM command
     TransientFail, //!< fail a sweep-job attempt with Unavailable
     CorruptTrace,  //!< damage .ltrc bytes (corpus generation)
-    KillPoint,     //!< die mid-append in the journal path
+    KillPoint,     //!< die mid-write of the Nth checkpoint snapshot
 };
 
 /** Printable name of a FaultKind (the spec keyword, e.g. "dropfill"). */
@@ -67,7 +67,7 @@ struct FaultSpec
     std::uint64_t ticks = 0; //!< DramStall: extra latency per hit
     std::uint64_t job = 0;   //!< TransientFail: sweep job index
     std::uint64_t count = 1; //!< TransientFail: attempts to fail
-    std::uint64_t offset = 0; //!< CorruptTrace byte / KillPoint append#
+    std::uint64_t offset = 0; //!< CorruptTrace byte / KillPoint write#
 };
 
 /** A seed plus the list of faults to inject. */
@@ -150,8 +150,9 @@ class FaultInjector
     /** Should job attempt @p attempt (0-based) fail as Unavailable? */
     bool failAttempt(std::uint64_t attempt) const;
 
-    /** Journal kill point: die during the Nth append (0 = never). */
-    std::uint64_t killAtAppend() const;
+    /** Kill point: die during the sweep's Nth checkpoint snapshot
+     *  write (1-based; 0 = never). */
+    std::uint64_t killAtSnapshot() const;
 
   private:
     FaultPlan thePlan;

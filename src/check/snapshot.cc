@@ -1,16 +1,15 @@
 #include "check/snapshot.hh"
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
+#include <unistd.h>
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "trace/json.hh"
 
 namespace libra
 {
@@ -19,8 +18,6 @@ namespace
 {
 
 constexpr char kMagic[4] = {'L', 'S', 'N', 'P'};
-constexpr const char *kManifestSchema = "libra.snapshot_manifest/1";
-constexpr const char *kManifestFile = "manifest.json";
 
 /** CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), lazy table. */
 std::uint32_t
@@ -83,55 +80,14 @@ hex16(std::uint64_t v)
     return buf;
 }
 
-Result<std::uint64_t>
-hexU64(const std::string &text, const char *what)
-{
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        text.data(), text.data() + text.size(), value, 16);
-    if (ec != std::errc() || ptr != text.data() + text.size()
-        || text.empty()) {
-        return Status::error(ErrorCode::CorruptData, "manifest: bad hex ",
-                             what, ": '", text, "'");
-    }
-    return value;
-}
-
-/** Exact u64 from a JSON number via its preserved raw literal. */
-Result<std::uint64_t>
-asU64(const JsonValue *v, const char *what)
-{
-    if (!v || !v->isNumber()) {
-        return Status::error(ErrorCode::CorruptData,
-                             "manifest: missing ", what);
-    }
-    if (v->str.find_first_of(".eE+-") != std::string::npos) {
-        return Status::error(ErrorCode::CorruptData, "manifest: ", what,
-                             " is not a non-negative integer: '", v->str,
-                             "'");
-    }
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(
-        v->str.data(), v->str.data() + v->str.size(), value);
-    if (ec != std::errc() || ptr != v->str.data() + v->str.size()) {
-        return Status::error(ErrorCode::CorruptData, "manifest: bad ",
-                             what, ": '", v->str, "'");
-    }
-    return value;
-}
-
+/** Process-unique temp name beside @p path: concurrent writers of
+ *  one key (two workers, two processes) never share a temp file. */
 std::string
-manifestPath(const std::string &dir)
+tempPathFor(const std::string &path)
 {
-    return dir + "/" + kManifestFile;
-}
-
-/** Serializes every manifest read-modify-write in this process. */
-std::mutex &
-manifestMutex()
-{
-    static std::mutex m;
-    return m;
+    static std::atomic<std::uint64_t> serial{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "."
+           + std::to_string(serial.fetch_add(1));
 }
 
 } // namespace
@@ -451,9 +407,10 @@ snapshotSceneHash(const std::string &abbrev, std::uint32_t width,
 
 std::string
 snapshotFileName(std::uint64_t config_hash, std::uint64_t scene_hash,
-                 std::uint32_t frames_done)
+                 std::uint32_t first_frame, std::uint32_t frames_done)
 {
-    return "ckpt_" + hex16(config_hash) + "_" + hex16(scene_hash) + "_f"
+    return "ckpt_" + hex16(config_hash) + "_" + hex16(scene_hash) + "_"
+           + std::to_string(first_frame) + "_f"
            + std::to_string(frames_done) + ".lsnp";
 }
 
@@ -461,20 +418,40 @@ Status
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &bytes)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
+    const std::string tmp = tempPathFor(path);
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         return Status::error(ErrorCode::IoError, "snapshot: cannot open ",
-                             path, " for writing: ",
+                             tmp, " for writing: ",
                              std::strerror(errno));
     }
-    const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    const bool write_ok = n == bytes.size();
+    const bool write_ok =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size()
+        && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
     const bool close_ok = std::fclose(f) == 0;
     if (!write_ok || !close_ok) {
+        std::remove(tmp.c_str());
         return Status::error(ErrorCode::IoError,
-                             "snapshot: short write to ", path);
+                             "snapshot: short write or fsync failure on ",
+                             tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        const int err = errno;
+        std::remove(tmp.c_str());
+        return Status::error(ErrorCode::IoError, "snapshot: cannot rename ",
+                             tmp, " to ", path, ": ", std::strerror(err));
     }
     return Status::ok();
+}
+
+void
+tearSnapshotFile(const std::string &path,
+                 const std::vector<std::uint8_t> &bytes)
+{
+    if (std::FILE *f = std::fopen(tempPathFor(path).c_str(), "wb")) {
+        std::fwrite(bytes.data(), 1, bytes.size() / 2, f);
+        std::fclose(f);
+    }
 }
 
 Result<std::vector<std::uint8_t>>
@@ -482,8 +459,10 @@ readSnapshotFile(const std::string &path)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
-        return Status::error(ErrorCode::IoError, "snapshot: cannot open ",
-                             path, ": ", std::strerror(errno));
+        return Status::error(errno == ENOENT ? ErrorCode::NotFound
+                                             : ErrorCode::IoError,
+                             "snapshot: cannot open ", path, ": ",
+                             std::strerror(errno));
     }
     std::vector<std::uint8_t> bytes;
     std::uint8_t buf[65536];
@@ -497,165 +476,6 @@ readSnapshotFile(const std::string &path)
                              path, " failed");
     }
     return bytes;
-}
-
-Result<std::vector<SnapshotManifestEntry>>
-loadSnapshotManifest(const std::string &dir)
-{
-    std::vector<SnapshotManifestEntry> entries;
-    const std::string path = manifestPath(dir);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return entries; // fresh checkpoint dir: no manifest yet
-    std::string text;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    const bool read_error = std::ferror(f) != 0;
-    std::fclose(f);
-    if (read_error) {
-        return Status::error(ErrorCode::IoError, "manifest: read of ",
-                             path, " failed");
-    }
-
-    Result<JsonValue> doc = parseJson(text);
-    if (!doc.isOk())
-        return doc.status();
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->isString()
-        || schema->str != kManifestSchema) {
-        return Status::error(ErrorCode::CorruptData, "manifest ", path,
-                             ": wrong schema (expected ",
-                             kManifestSchema, ")");
-    }
-    const JsonValue *snaps = doc->find("snapshots");
-    if (!snaps || !snaps->isArray()) {
-        return Status::error(ErrorCode::CorruptData, "manifest ", path,
-                             ": missing snapshots array");
-    }
-    for (const JsonValue &row : snaps->items) {
-        if (!row.isObject()) {
-            return Status::error(ErrorCode::CorruptData, "manifest ",
-                                 path, ": snapshot row is not an "
-                                 "object");
-        }
-        SnapshotManifestEntry e;
-        const JsonValue *cfg = row.find("config_hash");
-        const JsonValue *scene = row.find("scene_hash");
-        const JsonValue *file = row.find("file");
-        if (!cfg || !cfg->isString() || !scene || !scene->isString()
-            || !file || !file->isString()) {
-            return Status::error(ErrorCode::CorruptData, "manifest ",
-                                 path, ": row lacks hashes/file");
-        }
-        Result<std::uint64_t> ch = hexU64(cfg->str, "config_hash");
-        if (!ch.isOk())
-            return ch.status();
-        e.configHash = *ch;
-        Result<std::uint64_t> sh = hexU64(scene->str, "scene_hash");
-        if (!sh.isOk())
-            return sh.status();
-        e.sceneHash = *sh;
-        e.file = file->str;
-
-        Result<std::uint64_t> cv =
-            asU64(row.find("code_version"), "code_version");
-        if (!cv.isOk())
-            return cv.status();
-        e.codeVersion = static_cast<std::uint32_t>(*cv);
-        Result<std::uint64_t> ff =
-            asU64(row.find("first_frame"), "first_frame");
-        if (!ff.isOk())
-            return ff.status();
-        e.firstFrame = static_cast<std::uint32_t>(*ff);
-        Result<std::uint64_t> fd =
-            asU64(row.find("frames_done"), "frames_done");
-        if (!fd.isOk())
-            return fd.status();
-        e.framesDone = static_cast<std::uint32_t>(*fd);
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-Status
-recordSnapshotInManifest(const std::string &dir,
-                         const SnapshotManifestEntry &entry)
-{
-    std::lock_guard<std::mutex> lock(manifestMutex());
-    std::vector<SnapshotManifestEntry> entries;
-    Result<std::vector<SnapshotManifestEntry>> loaded =
-        loadSnapshotManifest(dir);
-    if (loaded.isOk()) {
-        entries = std::move(*loaded);
-    } else {
-        warn("checkpoint manifest in ", dir, " unreadable (",
-             loaded.status().toString(), "); rewriting it");
-    }
-
-    bool replaced = false;
-    for (SnapshotManifestEntry &e : entries) {
-        if (e.configHash == entry.configHash
-            && e.sceneHash == entry.sceneHash
-            && e.firstFrame == entry.firstFrame
-            && e.framesDone == entry.framesDone) {
-            e = entry;
-            replaced = true;
-            break;
-        }
-    }
-    if (!replaced)
-        entries.push_back(entry);
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema");
-    w.value(kManifestSchema);
-    w.key("snapshots");
-    w.beginArray();
-    for (const SnapshotManifestEntry &e : entries) {
-        w.beginObject();
-        w.key("config_hash");
-        w.value(hex16(e.configHash));
-        w.key("scene_hash");
-        w.value(hex16(e.sceneHash));
-        w.key("code_version");
-        w.value(std::uint64_t(e.codeVersion));
-        w.key("first_frame");
-        w.value(std::uint64_t(e.firstFrame));
-        w.key("frames_done");
-        w.value(std::uint64_t(e.framesDone));
-        w.key("file");
-        w.value(e.file);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return writeTextFile(manifestPath(dir), w.str());
-}
-
-const SnapshotManifestEntry *
-findSnapshotEntry(const std::vector<SnapshotManifestEntry> &entries,
-                  std::uint64_t config_hash, std::uint64_t scene_hash,
-                  std::uint32_t first_frame, std::uint32_t max_frames)
-{
-    const SnapshotManifestEntry *best = nullptr;
-    for (const SnapshotManifestEntry &e : entries) {
-        if (e.configHash != config_hash || e.sceneHash != scene_hash
-            || e.codeVersion != kSnapshotCodeVersion
-            || e.firstFrame != first_frame || e.framesDone > max_frames)
-            continue;
-        // Total order: freshest first (most frames done), ties broken
-        // by file path ascending. Manifest enumeration order is append
-        // order — a manifest rewritten after concurrent sweeps can list
-        // equal-framesDone entries either way round, and resume must
-        // pick the same snapshot every time.
-        if (!best || e.framesDone > best->framesDone
-            || (e.framesDone == best->framesDone && e.file < best->file))
-            best = &e;
-    }
-    return best;
 }
 
 } // namespace libra

@@ -87,11 +87,6 @@ enum class SnapSection : std::uint32_t
     RasterUnits, //!< per-RU/core issue state, phase trackers
     GpuCore,     //!< frames rendered, feedback, geometry counters
     Counters,    //!< full StatGroup value dump
-
-    /** Finished libra.run_report/1 JSON (sim-farm result cache,
-     *  src/check/result_cache.hh) — the only section of a cache entry,
-     *  never part of a GPU state snapshot. */
-    CachedReport,
 };
 
 /**
@@ -192,52 +187,39 @@ std::uint64_t snapshotSceneHash(const std::string &abbrev,
                                 std::uint32_t width,
                                 std::uint32_t height);
 
-/** Canonical checkpoint file name inside a --checkpoint-dir. */
+/**
+ * Canonical checkpoint file name inside a --checkpoint-dir:
+ * `ckpt_<config>_<scene>_<first>_f<done>.lsnp`, hashes as 16 hex
+ * digits. The name carries the whole restore key, so a lookup is a
+ * direct open and jobs differing in any key field never share a file.
+ */
 std::string snapshotFileName(std::uint64_t config_hash,
                              std::uint64_t scene_hash,
+                             std::uint32_t first_frame,
                              std::uint32_t frames_done);
 
-/** Write/read a snapshot byte image; IoError on OS failure. */
+/**
+ * Crash-safe write of a snapshot byte image: a process-unique temp
+ * file next to @p path, fflush + fsync, then rename onto @p path. A
+ * reader therefore sees the old file, the complete new one or nothing,
+ * never a torn image; a crash leaves at most a stray `*.tmp.*` file,
+ * which no lookup opens. IoError on OS failure.
+ */
 Status writeSnapshotFile(const std::string &path,
                          const std::vector<std::uint8_t> &bytes);
+
+/**
+ * Fault hook (FaultPlan `kill@snapshot=N`): what a kill -9 in the
+ * middle of writeSnapshotFile() leaves on disk — half of @p bytes in
+ * the temp file, never synced, never renamed.
+ */
+void tearSnapshotFile(const std::string &path,
+                      const std::vector<std::uint8_t> &bytes);
+
+/** Read a snapshot byte image; NotFound when @p path does not exist,
+ *  IoError on any other OS failure. */
 Result<std::vector<std::uint8_t>>
 readSnapshotFile(const std::string &path);
-
-/** One row of a checkpoint directory's JSON manifest. */
-struct SnapshotManifestEntry
-{
-    std::uint64_t configHash = 0;
-    std::uint64_t sceneHash = 0;
-    std::uint32_t codeVersion = 0;
-    std::uint32_t firstFrame = 0;
-    std::uint32_t framesDone = 0;
-    std::string file; //!< file name relative to the checkpoint dir
-};
-
-/**
- * Load @p dir's manifest.json. A missing manifest is an empty list (a
- * fresh checkpoint dir); an unreadable or unparseable one is an error.
- */
-Result<std::vector<SnapshotManifestEntry>>
-loadSnapshotManifest(const std::string &dir);
-
-/**
- * Append/replace @p entry in @p dir's manifest.json. Guarded by a
- * process-local mutex so concurrent sweep workers don't tear the
- * read-modify-write; cross-process writers need distinct dirs.
- */
-Status recordSnapshotInManifest(const std::string &dir,
-                                const SnapshotManifestEntry &entry);
-
-/**
- * Best restore candidate: the entry matching (config hash, scene hash,
- * code version, first frame) with the largest framesDone <= @p
- * max_frames. nullptr when nothing usable exists.
- */
-const SnapshotManifestEntry *
-findSnapshotEntry(const std::vector<SnapshotManifestEntry> &entries,
-                  std::uint64_t config_hash, std::uint64_t scene_hash,
-                  std::uint32_t first_frame, std::uint32_t max_frames);
 
 } // namespace libra
 

@@ -20,16 +20,14 @@ CliArgs::CliArgs(int argc, const char *const *argv,
             continue;
         }
         arg = arg.substr(2);
-        std::string value;
+        std::string value = "1"; // bare boolean flag
         const auto eq = arg.find('=');
         if (eq != std::string::npos) {
             value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
+            arg.resize(eq);
         } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0)
                    != 0) {
             value = argv[++i];
-        } else {
-            value = "1"; // bare boolean flag
         }
         if (std::find(known.begin(), known.end(), arg) == known.end())
             fatal("unknown option --", arg);

@@ -31,10 +31,10 @@ splitmix64(std::uint64_t &state)
  * Stateless 64-bit mix of two values: boost-style combine folded
  * through the splitmix64 finalizer.
  *
- * Originally for per-entity derived seeds; since the sim-farm this also
- * feeds every *persistent* identity — GpuConfig::configHash(),
- * snapshotSceneHash() and through them the result-cache and snapshot
- * keys on disk. Two contracts follow:
+ * Originally for per-entity derived seeds; it now also feeds every
+ * *persistent* identity — GpuConfig::configHash(), snapshotSceneHash()
+ * and through them the checkpoint-dir snapshot file names and headers
+ * on disk. Two contracts follow:
  *
  *  - **Quality**: for any fixed accumulator a, x -> hashCombine(a, x)
  *    is a bijection, so a chained key hash never collides at the fold
@@ -48,9 +48,9 @@ splitmix64(std::uint64_t &state)
  *    persistent key, which must chain from a mixed basis. test_rng
  *    locks all of this down.
  *  - **Stability**: changing this mixer silently invalidates every
- *    snapshot, manifest and cached report on disk. If it must change,
- *    bump kSnapshotCodeVersion and kResultCacheCodeVersion in the same
- *    commit so stale entries are refused instead of mis-keyed.
+ *    snapshot on disk. If it must change, bump kSnapshotCodeVersion in
+ *    the same commit so stale snapshots are refused instead of
+ *    mis-keyed.
  */
 constexpr std::uint64_t
 hashCombine(std::uint64_t a, std::uint64_t b)

@@ -12,7 +12,7 @@
  * FramePlan; TileScheduler keeps only the handout mechanics.
  *
  * The contract every policy must satisfy (enforced mechanically by
- * tests/test_policy_conformance.cc, see DESIGN.md §13):
+ * tests/test_policy_conformance.cc, see DESIGN.md §12):
  *
  *  - planFrame() is deterministic: same feedback sequence, same plans;
  *  - the plan is complete: its supertile queue covers every tile of

@@ -122,8 +122,8 @@ struct GpuConfig
      * Stable 64-bit hash of every *model* field — everything that can
      * change a simulation's counters, and nothing that can't (runtime
      * attachments: watchdog limits, cancel token, fault injector,
-     * instrumentation toggles are all excluded). Used as the journal /
-     * result-cache key (ROADMAP item 2) and to attribute farm-log
+     * instrumentation toggles are all excluded). Keys checkpoint-dir
+     * snapshot files and sweep job keys, which attribute sweep-log
      * failures to a config; identical configs hash identically across
      * processes and runs.
      */

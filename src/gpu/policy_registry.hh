@@ -15,7 +15,7 @@
  *  - tests/test_policy_conformance.cc runs the full determinism /
  *    invariant / snapshot contract against each entry by iterating
  *    this list — a new mechanism registered here inherits the whole
- *    contract with no new test code (DESIGN.md §13).
+ *    contract with no new test code (DESIGN.md §12).
  */
 
 #ifndef LIBRA_GPU_POLICY_REGISTRY_HH
@@ -34,7 +34,7 @@ namespace libra
 /** One named mechanism preset. */
 struct PolicyInfo
 {
-    /** CLI name (`--policy <name>`, farm config specs). */
+    /** CLI name (`--policy <name>`). */
     const char *name;
 
     /** One-line description for help text and error messages. */

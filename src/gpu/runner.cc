@@ -1,13 +1,16 @@
 #include "gpu/runner.hh"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <utility>
 
 #include "check/snapshot.hh"
 #include "common/log.hh"
-#include "sim/sweep_journal.hh"
 #include "trace/json.hh"
 
 namespace libra
@@ -131,6 +134,295 @@ RunResult::fps(double clock_hz) const
 
 namespace
 {
+
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+Result<std::uint64_t>
+hexU64(const std::string &text, const char *what)
+{
+    std::uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(
+        text.data(), text.data() + text.size(), value, 16);
+    if (ec != std::errc() || ptr != text.data() + text.size()
+        || text.empty()) {
+        return Status::error(ErrorCode::CorruptData, "run result: bad hex ",
+                             what, ": '", text, "'");
+    }
+    return value;
+}
+
+/** Exact u64 from a JSON number (the parser keeps the raw literal, so
+ *  values above 2^53 are not squeezed through a double). */
+Result<std::uint64_t>
+asU64(const JsonValue *v, const char *what)
+{
+    if (!v || !v->isNumber()) {
+        return Status::error(ErrorCode::CorruptData, "run result: missing ",
+                             what);
+    }
+    if (v->str.find_first_of(".eE+-") != std::string::npos) {
+        return Status::error(ErrorCode::CorruptData, "run result: ", what,
+                             " is not a non-negative integer: '", v->str,
+                             "'");
+    }
+    std::uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(
+        v->str.data(), v->str.data() + v->str.size(), value);
+    if (ec != std::errc() || ptr != v->str.data() + v->str.size()) {
+        return Status::error(ErrorCode::CorruptData, "run result: bad ",
+                             what, ": '", v->str, "'");
+    }
+    return value;
+}
+
+Result<double>
+asDouble(const JsonValue *v, const char *what)
+{
+    if (!v || !v->isNumber()) {
+        return Status::error(ErrorCode::CorruptData, "run result: missing ",
+                             what);
+    }
+    return v->number;
+}
+
+/** Fetch, narrow and assign helpers so the field lists below stay
+ *  one line per field. */
+#define RESULT_GET_U64(obj, name, dest)                                  \
+    do {                                                                  \
+        Result<std::uint64_t> r_ = asU64((obj).find(name), name);         \
+        if (!r_.isOk())                                                   \
+            return r_.status();                                           \
+        dest = *r_;                                                       \
+    } while (0)
+
+#define RESULT_GET_U32(obj, name, dest)                                  \
+    do {                                                                  \
+        Result<std::uint64_t> r_ = asU64((obj).find(name), name);         \
+        if (!r_.isOk())                                                   \
+            return r_.status();                                           \
+        dest = static_cast<std::uint32_t>(*r_);                           \
+    } while (0)
+
+#define RESULT_GET_DOUBLE(obj, name, dest)                               \
+    do {                                                                  \
+        Result<double> r_ = asDouble((obj).find(name), name);             \
+        if (!r_.isOk())                                                   \
+            return r_.status();                                           \
+        dest = *r_;                                                       \
+    } while (0)
+
+void
+u64Array(JsonWriter &w, const std::vector<std::uint64_t> &values)
+{
+    w.beginArray();
+    for (std::uint64_t v : values)
+        w.value(v);
+    w.endArray();
+}
+
+Result<std::vector<std::uint64_t>>
+u64ArrayFrom(const JsonValue *v, const char *what)
+{
+    if (!v || !v->isArray()) {
+        return Status::error(ErrorCode::CorruptData, "run result: missing ",
+                             what);
+    }
+    std::vector<std::uint64_t> out;
+    out.reserve(v->items.size());
+    for (const JsonValue &item : v->items) {
+        Result<std::uint64_t> r = asU64(&item, what);
+        if (!r.isOk())
+            return r.status();
+        out.push_back(*r);
+    }
+    return out;
+}
+
+void
+frameToJson(JsonWriter &w, const FrameStats &fs)
+{
+    w.beginObject();
+    w.key("frame_index"); w.value(std::uint64_t(fs.frameIndex));
+    w.key("total_cycles"); w.value(std::uint64_t(fs.totalCycles));
+    w.key("geom_cycles"); w.value(std::uint64_t(fs.geomCycles));
+    w.key("raster_cycles"); w.value(std::uint64_t(fs.rasterCycles));
+    w.key("dram_reads"); w.value(fs.dramReads);
+    w.key("dram_writes"); w.value(fs.dramWrites);
+    w.key("dram_activates"); w.value(fs.dramActivates);
+    w.key("avg_dram_read_latency"); w.value(fs.avgDramReadLatency);
+    w.key("texture_hit_ratio"); w.value(fs.textureHitRatio);
+    w.key("avg_texture_latency"); w.value(fs.avgTextureLatency);
+    w.key("texture_requests"); w.value(fs.textureRequests);
+    w.key("texture_misses"); w.value(fs.textureMisses);
+    w.key("texture_l1_accesses"); w.value(fs.textureL1Accesses);
+    w.key("l2_hit_ratio"); w.value(fs.l2HitRatio);
+    w.key("replication_ratio"); w.value(fs.replicationRatio);
+    w.key("instructions"); w.value(fs.instructions);
+    w.key("fragments"); w.value(fs.fragments);
+    w.key("warps"); w.value(fs.warps);
+    w.key("quads"); w.value(fs.quads);
+    w.key("tile_dram"); u64Array(w, fs.tileDram);
+    w.key("tile_instr"); u64Array(w, fs.tileInstr);
+    w.key("dram_timeline");
+    w.beginArray();
+    for (std::uint32_t v : fs.dramTimeline)
+        w.value(std::uint64_t(v));
+    w.endArray();
+    w.key("dram_timeline_interval");
+    w.value(std::uint64_t(fs.dramTimelineInterval));
+    w.key("ru_phases");
+    w.beginArray();
+    for (const auto &phases : fs.ruPhases) {
+        w.beginArray();
+        for (std::uint64_t v : phases)
+            w.value(v);
+        w.endArray();
+    }
+    w.endArray();
+    w.key("energy");
+    w.beginObject();
+    w.key("core_mj"); w.value(fs.energy.coreMj);
+    w.key("cache_mj"); w.value(fs.energy.cacheMj);
+    w.key("dram_mj"); w.value(fs.energy.dramMj);
+    w.key("fixed_function_mj"); w.value(fs.energy.fixedFunctionMj);
+    w.key("static_mj"); w.value(fs.energy.staticMj);
+    w.key("total_mj"); w.value(fs.energy.totalMj);
+    w.endObject();
+    w.key("temperature_order"); w.value(fs.temperatureOrder);
+    w.key("supertile_size"); w.value(std::uint64_t(fs.supertileSize));
+    w.key("ranking_cycles"); w.value(fs.rankingCycles);
+    if (!fs.image.empty()) {
+        // Pixel hashes use all 64 bits; hex strings round-trip exactly
+        // where JSON numbers (doubles in the parser) could not.
+        w.key("image");
+        w.beginArray();
+        for (std::uint64_t px : fs.image)
+            w.value(hex16(px));
+        w.endArray();
+    }
+    w.endObject();
+}
+
+Result<FrameStats>
+frameFromJson(const JsonValue &v)
+{
+    if (!v.isObject()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: frame is not an object");
+    }
+    FrameStats fs;
+    RESULT_GET_U32(v, "frame_index", fs.frameIndex);
+    RESULT_GET_U64(v, "total_cycles", fs.totalCycles);
+    RESULT_GET_U64(v, "geom_cycles", fs.geomCycles);
+    RESULT_GET_U64(v, "raster_cycles", fs.rasterCycles);
+    RESULT_GET_U64(v, "dram_reads", fs.dramReads);
+    RESULT_GET_U64(v, "dram_writes", fs.dramWrites);
+    RESULT_GET_U64(v, "dram_activates", fs.dramActivates);
+    RESULT_GET_DOUBLE(v, "avg_dram_read_latency", fs.avgDramReadLatency);
+    RESULT_GET_DOUBLE(v, "texture_hit_ratio", fs.textureHitRatio);
+    RESULT_GET_DOUBLE(v, "avg_texture_latency", fs.avgTextureLatency);
+    RESULT_GET_U64(v, "texture_requests", fs.textureRequests);
+    RESULT_GET_U64(v, "texture_misses", fs.textureMisses);
+    RESULT_GET_U64(v, "texture_l1_accesses", fs.textureL1Accesses);
+    RESULT_GET_DOUBLE(v, "l2_hit_ratio", fs.l2HitRatio);
+    RESULT_GET_DOUBLE(v, "replication_ratio", fs.replicationRatio);
+    RESULT_GET_U64(v, "instructions", fs.instructions);
+    RESULT_GET_U64(v, "fragments", fs.fragments);
+    RESULT_GET_U64(v, "warps", fs.warps);
+    RESULT_GET_U64(v, "quads", fs.quads);
+
+    Result<std::vector<std::uint64_t>> tile_dram =
+        u64ArrayFrom(v.find("tile_dram"), "tile_dram");
+    if (!tile_dram.isOk())
+        return tile_dram.status();
+    fs.tileDram = std::move(*tile_dram);
+
+    Result<std::vector<std::uint64_t>> tile_instr =
+        u64ArrayFrom(v.find("tile_instr"), "tile_instr");
+    if (!tile_instr.isOk())
+        return tile_instr.status();
+    fs.tileInstr = std::move(*tile_instr);
+
+    Result<std::vector<std::uint64_t>> timeline =
+        u64ArrayFrom(v.find("dram_timeline"), "dram_timeline");
+    if (!timeline.isOk())
+        return timeline.status();
+    fs.dramTimeline.reserve(timeline->size());
+    for (std::uint64_t t : *timeline)
+        fs.dramTimeline.push_back(static_cast<std::uint32_t>(t));
+
+    RESULT_GET_U32(v, "dram_timeline_interval", fs.dramTimelineInterval);
+
+    const JsonValue *phases = v.find("ru_phases");
+    if (!phases || !phases->isArray()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: missing ru_phases");
+    }
+    for (const JsonValue &unit : phases->items) {
+        Result<std::vector<std::uint64_t>> row =
+            u64ArrayFrom(&unit, "ru_phases");
+        if (!row.isOk())
+            return row.status();
+        if (row->size() != kNumRuPhases) {
+            return Status::error(ErrorCode::CorruptData,
+                                 "run result: ru_phases row has ",
+                                 row->size(), " entries, expected ",
+                                 kNumRuPhases);
+        }
+        std::array<std::uint64_t, kNumRuPhases> arr{};
+        std::copy(row->begin(), row->end(), arr.begin());
+        fs.ruPhases.push_back(arr);
+    }
+
+    const JsonValue *energy = v.find("energy");
+    if (!energy || !energy->isObject()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: missing energy");
+    }
+    RESULT_GET_DOUBLE(*energy, "core_mj", fs.energy.coreMj);
+    RESULT_GET_DOUBLE(*energy, "cache_mj", fs.energy.cacheMj);
+    RESULT_GET_DOUBLE(*energy, "dram_mj", fs.energy.dramMj);
+    RESULT_GET_DOUBLE(*energy, "fixed_function_mj",
+                       fs.energy.fixedFunctionMj);
+    RESULT_GET_DOUBLE(*energy, "static_mj", fs.energy.staticMj);
+    RESULT_GET_DOUBLE(*energy, "total_mj", fs.energy.totalMj);
+
+    const JsonValue *temp = v.find("temperature_order");
+    if (!temp || temp->kind != JsonValue::Kind::Bool) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: missing temperature_order");
+    }
+    fs.temperatureOrder = temp->boolean;
+    RESULT_GET_U32(v, "supertile_size", fs.supertileSize);
+    RESULT_GET_U64(v, "ranking_cycles", fs.rankingCycles);
+
+    if (const JsonValue *image = v.find("image")) {
+        if (!image->isArray()) {
+            return Status::error(ErrorCode::CorruptData,
+                                 "run result: image is not an array");
+        }
+        fs.image.reserve(image->items.size());
+        for (const JsonValue &px : image->items) {
+            if (!px.isString()) {
+                return Status::error(ErrorCode::CorruptData,
+                                     "run result: image pixel is not a "
+                                     "hex string");
+            }
+            Result<std::uint64_t> value = hexU64(px.str, "image pixel");
+            if (!value.isOk())
+                return value.status();
+            fs.image.push_back(*value);
+        }
+    }
+    return fs;
+}
 
 /** Entrywise-add @p from into @p into (counter names are identical for
  *  every Gpu instance built from one config). */
@@ -288,38 +580,46 @@ restoreFromSnapshot(std::vector<std::uint8_t> bytes, const Scene &scene,
     return h.framesDone;
 }
 
-/** Dir-based restore: pick the freshest usable manifest entry. A
- *  NotFound return means "nothing to restore" (silent cold start). */
+/** Path of the snapshot keyed (config, scene, first frame, frames
+ *  done) inside checkpoint dir @p dir. */
+std::string
+snapshotPath(const std::string &dir, const GpuConfig &cfg,
+             std::uint64_t scene_hash, std::uint32_t first_frame,
+             std::uint32_t frames_done)
+{
+    return (std::filesystem::path(dir)
+            / snapshotFileName(cfg.configHash(), scene_hash, first_frame,
+                               frames_done))
+        .string();
+}
+
+/** Dir-based restore from the freshest snapshot of this run's key,
+ *  found by direct open of framesDone = frames ... 1. A NotFound
+ *  return means "nothing to restore" (silent cold start). */
 Result<std::uint32_t>
 restoreFromDir(const std::string &dir, const Scene &scene,
                const GpuConfig &cfg, std::uint32_t frames,
                std::uint32_t first_frame, RunResult &result,
                std::unique_ptr<Gpu> &gpu)
 {
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    if (!manifest.isOk())
-        return manifest.status();
-    const SnapshotManifestEntry *entry =
-        findSnapshotEntry(*manifest, cfg.configHash(),
-                          sceneHashOf(scene, cfg), first_frame, frames);
-    if (!entry) {
-        return Status::error(ErrorCode::NotFound,
-                             "no usable snapshot in ", dir);
+    const std::uint64_t scene_hash = sceneHashOf(scene, cfg);
+    for (std::uint32_t done = frames; done >= 1; --done) {
+        Result<std::vector<std::uint8_t>> bytes = readSnapshotFile(
+            snapshotPath(dir, cfg, scene_hash, first_frame, done));
+        if (!bytes.isOk() && bytes.status().code() == ErrorCode::NotFound)
+            continue;
+        if (!bytes.isOk())
+            return bytes.status();
+        return restoreFromSnapshot(std::move(*bytes), scene, cfg, frames,
+                                   first_frame, result, gpu);
     }
-    const std::string path =
-        (std::filesystem::path(dir) / entry->file).string();
-    Result<std::vector<std::uint8_t>> bytes = readSnapshotFile(path);
-    if (!bytes.isOk())
-        return bytes.status();
-    return restoreFromSnapshot(std::move(*bytes), scene, cfg, frames,
-                               first_frame, result, gpu);
+    return Status::error(ErrorCode::NotFound, "no snapshot in ", dir);
 }
 
 /** Frame-boundary checkpoint hook: capture the warm-prefix image
- *  and/or write a periodic snapshot file + manifest row. Write
- *  failures degrade to a warning — checkpointing must never change a
- *  run's outcome. */
+ *  and/or write a snapshot file (every Nth frame and the final one).
+ *  Write failures degrade to a warning — checkpointing must never
+ *  change a run's outcome. */
 void
 maybeCheckpoint(const CheckpointPlan &plan, const Scene &scene,
                 const GpuConfig &cfg, const RunResult &result,
@@ -330,47 +630,115 @@ maybeCheckpoint(const CheckpointPlan &plan, const Scene &scene,
         *plan.captureAfter = buildSnapshot(scene, cfg, result, gpu,
                                            first_frame, frames_done);
     }
-    if (plan.dir.empty() || plan.every == 0 || frames_done == 0
-        || frames_done % plan.every != 0
-        || frames_done >= frames_total) {
-        return; // the final frame needs no checkpoint: the run is done
-    }
+    const bool periodic =
+        plan.every != 0 && frames_done % plan.every == 0;
+    if (plan.dir.empty() || !(periodic || frames_done == frames_total))
+        return;
+    const SnapshotKill::Fate fate =
+        plan.kill ? plan.kill->nextWrite() : SnapshotKill::Fate::Write;
+    if (fate == SnapshotKill::Fate::Drop)
+        return;
     const std::vector<std::uint8_t> bytes =
         buildSnapshot(scene, cfg, result, gpu, first_frame, frames_done);
-    // Plan setup already validated the directory once; re-creating it
-    // here covers a mid-run deletion. The error contract is the same:
-    // warn, skip the write, never change the run's outcome.
-    std::error_code ec;
-    std::filesystem::create_directories(plan.dir, ec);
-    if (ec) {
-        warn("checkpoint: cannot create directory ", plan.dir, ": ",
-             ec.message(), " — skipping snapshot at frame ",
-             first_frame + frames_done);
-        return;
-    }
-    const std::uint64_t scene_hash = sceneHashOf(scene, cfg);
-    const std::string name =
-        snapshotFileName(cfg.configHash(), scene_hash, frames_done);
-    const std::string path =
-        (std::filesystem::path(plan.dir) / name).string();
-    if (Status st = writeSnapshotFile(path, bytes); !st.isOk()) {
+    const std::string path = snapshotPath(
+        plan.dir, cfg, sceneHashOf(scene, cfg), first_frame, frames_done);
+    if (fate == SnapshotKill::Fate::Tear)
+        tearSnapshotFile(path, bytes);
+    else if (Status st = writeSnapshotFile(path, bytes); !st.isOk())
         warn("checkpoint: ", st.toString());
-        return;
-    }
-    SnapshotManifestEntry entry;
-    entry.configHash = cfg.configHash();
-    entry.sceneHash = scene_hash;
-    entry.codeVersion = kSnapshotCodeVersion;
-    entry.firstFrame = first_frame;
-    entry.framesDone = frames_done;
-    entry.file = name;
-    if (Status st = recordSnapshotInManifest(plan.dir, entry);
-        !st.isOk()) {
-        warn("checkpoint manifest: ", st.toString());
-    }
 }
 
 } // namespace
+
+std::uint32_t
+checkpointedFrames(const std::string &dir, const std::string &abbrev,
+                   const GpuConfig &cfg, std::uint32_t frames,
+                   std::uint32_t first_frame)
+{
+    const std::uint64_t scene_hash =
+        snapshotSceneHash(abbrev, cfg.screenWidth, cfg.screenHeight);
+    for (std::uint32_t done = frames; done >= 1; --done) {
+        std::error_code ec;
+        if (std::filesystem::exists(
+                snapshotPath(dir, cfg, scene_hash, first_frame, done), ec))
+            return done;
+    }
+    return 0;
+}
+
+void
+runResultToJson(JsonWriter &w, const RunResult &r)
+{
+    w.beginObject();
+    w.key("benchmark");
+    w.value(r.benchmark);
+    w.key("frames");
+    w.beginArray();
+    for (const FrameStats &fs : r.frames)
+        frameToJson(w, fs);
+    w.endArray();
+    w.key("skipped_frames");
+    w.beginArray();
+    for (std::uint32_t f : r.skippedFrames)
+        w.value(std::uint64_t(f));
+    w.endArray();
+    w.key("counters");
+    w.beginObject();
+    for (const auto &[name, value] : r.counters) {
+        w.key(name);
+        w.value(value);
+    }
+    w.endObject();
+    w.endObject();
+}
+
+Result<RunResult>
+runResultFromJson(const JsonValue &v)
+{
+    if (!v.isObject()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: result is not an object");
+    }
+    RunResult r;
+    const JsonValue *bench = v.find("benchmark");
+    if (!bench || !bench->isString()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: missing benchmark name");
+    }
+    r.benchmark = bench->str;
+
+    const JsonValue *frames = v.find("frames");
+    if (!frames || !frames->isArray()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: missing frames");
+    }
+    for (const JsonValue &frame : frames->items) {
+        Result<FrameStats> fs = frameFromJson(frame);
+        if (!fs.isOk())
+            return fs.status();
+        r.frames.push_back(std::move(*fs));
+    }
+
+    Result<std::vector<std::uint64_t>> skipped =
+        u64ArrayFrom(v.find("skipped_frames"), "skipped_frames");
+    if (!skipped.isOk())
+        return skipped.status();
+    for (std::uint64_t f : *skipped)
+        r.skippedFrames.push_back(static_cast<std::uint32_t>(f));
+
+    const JsonValue *counters = v.find("counters");
+    if (!counters || !counters->isObject()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "run result: missing counters");
+    }
+    for (const auto &[name, value] : counters->members) {
+        Result<std::uint64_t> count = asU64(&value, name.c_str());
+        if (!count.isOk())
+            return count.status();
+        r.counters[name] = *count;
+    }
+    return r;
+}
 
 Result<RunResult>
 runBenchmark(const Scene &scene, const GpuConfig &cfg,
@@ -393,20 +761,19 @@ runBenchmark(const Scene &scene, const GpuConfig &cfg,
                              cfg.screenWidth, "x", cfg.screenHeight);
     }
 
-    // Surface an unusable checkpoint directory once, at plan setup,
-    // instead of silently ignoring the create_directories error on
-    // every frame. Warn-only: checkpointing must never change a run's
-    // outcome, so the run proceeds with periodic snapshots disabled.
+    // Surface an unusable checkpoint directory once, at plan setup.
+    // Warn-only: checkpointing must never change a run's outcome, so
+    // the run proceeds cold, without snapshots.
     CheckpointPlan plan = checkpoint;
-    if (!plan.dir.empty() && plan.every != 0) {
+    if (!plan.dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(plan.dir, ec);
         if (ec) {
             warn("benchmark ", spec.abbrev,
                  ": cannot create checkpoint directory ", plan.dir,
-                 ": ", ec.message(),
-                 " — periodic checkpoints disabled for this run");
-            plan.every = 0;
+                 ": ", ec.message(), " — checkpoints disabled for this "
+                 "run");
+            plan.dir.clear();
         }
     }
 
@@ -414,29 +781,27 @@ runBenchmark(const Scene &scene, const GpuConfig &cfg,
     result.benchmark = spec.abbrev;
     result.config = cfg;
 
-    // --- Restore: warm-start bytes first, then the checkpoint dir ----
+    // --- Restore: the checkpoint dir first, then warm-start bytes ----
     // Every restore failure except "nothing there" warns and degrades
     // to a cold run; a snapshot can speed a run up, never break it.
     std::unique_ptr<Gpu> gpu;
     std::uint32_t start = 0;
-    if (checkpoint.warmStart
-        || (!checkpoint.dir.empty() && checkpoint.restore)) {
-        Result<std::uint32_t> restored = checkpoint.warmStart
-            ? restoreFromSnapshot(*checkpoint.warmStart, scene, cfg,
-                                  frames, first_frame, result, gpu)
-            : restoreFromDir(checkpoint.dir, scene, cfg, frames,
-                             first_frame, result, gpu);
+    const auto restore = [&](Result<std::uint32_t> restored) {
         if (restored.isOk()) {
             start = *restored;
         } else if (restored.status().code() != ErrorCode::NotFound) {
             warn("benchmark ", spec.abbrev,
                  ": checkpoint restore failed, falling back to a cold "
                  "run: ", restored.status().toString());
-            result = RunResult{};
-            result.benchmark = spec.abbrev;
-            result.config = cfg;
-            gpu.reset();
         }
+    };
+    if (!plan.dir.empty()) {
+        restore(restoreFromDir(plan.dir, scene, cfg, frames, first_frame,
+                               result, gpu));
+    }
+    if (!gpu && plan.warmStart) {
+        restore(restoreFromSnapshot(*plan.warmStart, scene, cfg, frames,
+                                    first_frame, result, gpu));
     }
     if (!gpu) {
         if (cfg.traceEvents)
@@ -445,6 +810,8 @@ runBenchmark(const Scene &scene, const GpuConfig &cfg,
         gpu->setTraceSink(result.trace.get());
         start = 0;
     }
+    if (plan.framesRestored)
+        *plan.framesRestored = start;
 
     result.frames.reserve(frames);
     for (std::uint32_t f = start; f < frames; ++f) {

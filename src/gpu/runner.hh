@@ -8,6 +8,7 @@
 #ifndef LIBRA_GPU_RUNNER_HH
 #define LIBRA_GPU_RUNNER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -23,6 +24,9 @@
 
 namespace libra
 {
+
+struct JsonValue;
+class JsonWriter;
 
 /** Aggregated result of one (benchmark, config) run. */
 struct RunResult
@@ -68,32 +72,75 @@ struct RunResult
 };
 
 /**
+ * Simulated kill -9 of a sweep at its Nth snapshot write (FaultPlan
+ * `kill@snapshot=N`), shared by every job of that sweep. The Nth write
+ * leaves half its bytes in an unrenamed temp file; every later write
+ * is dropped, and SweepRunner starts no further job — what a real
+ * SIGKILL at that point leaves on disk.
+ */
+class SnapshotKill
+{
+  public:
+    enum class Fate
+    {
+        Write, //!< before the kill: write normally
+        Tear,  //!< the fatal write: leave a torn temp file
+        Drop,  //!< after the kill: the process is dead, write nothing
+    };
+
+    /** @p at_write 1-based; 0 never fires. */
+    explicit SnapshotKill(std::uint64_t at_write) : at(at_write) {}
+
+    /** Claim the next write of the sweep. */
+    Fate
+    nextWrite()
+    {
+        if (at == 0)
+            return Fate::Write;
+        const std::uint64_t n = writes.fetch_add(1) + 1;
+        return n < at ? Fate::Write : n == at ? Fate::Tear : Fate::Drop;
+    }
+
+    /** True once the fatal write was claimed. */
+    bool
+    fired() const
+    {
+        return at != 0 && writes.load() >= at;
+    }
+
+  private:
+    const std::uint64_t at;
+    std::atomic<std::uint64_t> writes{0};
+};
+
+/**
  * Checkpointing directives for one runBenchmark() call. All defaults
  * off: the run is a plain cold run. The restore contract is byte
  * identity — a run restored at frame F finishes with counter dumps,
  * reports and Chrome traces identical to the uninterrupted run — and
- * every restore failure (missing file, corrupt image, key mismatch)
- * degrades to a cold run with a warning, never an error.
+ * every restore failure (corrupt image, key mismatch) degrades to a
+ * cold run with a warning, never an error.
  */
 struct CheckpointPlan
 {
-    /** Snapshot directory (created on demand); empty disables both
-     *  writing and dir-based restore. */
+    /**
+     * Checkpoint directory (created on demand); empty = none. With a
+     * dir the run first restores from its freshest snapshot there —
+     * the file named by (config hash, scene hash, first frame) with
+     * the largest framesDone <= the requested frame count — and always
+     * writes its final-frame snapshot, so re-running a finished job
+     * renders zero frames.
+     */
     std::string dir;
 
-    /** Write a snapshot into @ref dir every N finished frames; 0
-     *  writes none. */
+    /** Also write a snapshot into @ref dir every N finished frames; 0
+     *  writes the final one only. */
     std::uint32_t every = 0;
 
-    /** Restore from the freshest usable snapshot in @ref dir (matching
-     *  config hash, scene hash, code version and first frame, with
-     *  framesDone <= the requested frame count). */
-    bool restore = false;
-
     /**
-     * In-memory warm-start image (sweep warm-prefix forking): restore
-     * from these bytes instead of @ref dir. The image may come from a
-     * config differing only in the adaptive thresholds — the header's
+     * In-memory warm-start image (sweep warm-prefix forking), tried
+     * when @ref dir holds nothing for this run. The image may come from
+     * a config differing only in the adaptive thresholds — the header's
      * warmPrefixHash proves the prefix frames were byte-identical.
      */
     std::shared_ptr<const std::vector<std::uint8_t>> warmStart;
@@ -103,6 +150,13 @@ struct CheckpointPlan
     std::shared_ptr<std::vector<std::uint8_t>> captureAfter;
     std::uint32_t captureAfterFrames = 0;
 
+    /** Sweep-wide simulated kill of the snapshot writes; null = none. */
+    SnapshotKill *kill = nullptr;
+
+    /** When set, receives the frames restored from a snapshot instead
+     *  of rendered (0 = cold run). */
+    std::uint32_t *framesRestored = nullptr;
+
     bool
     enabled() const
     {
@@ -110,6 +164,18 @@ struct CheckpointPlan
             || captureAfter != nullptr;
     }
 };
+
+/**
+ * Frames done by the freshest snapshot in checkpoint dir @p dir for a
+ * run of @p frames frames of benchmark @p abbrev under @p cfg starting
+ * at @p first_frame; 0 when there is none. A file probe only: the
+ * image is not validated.
+ */
+std::uint32_t checkpointedFrames(const std::string &dir,
+                                 const std::string &abbrev,
+                                 const GpuConfig &cfg,
+                                 std::uint32_t frames,
+                                 std::uint32_t first_frame);
 
 /**
  * Render @p frames frames of @p spec under @p cfg.
@@ -140,6 +206,15 @@ Result<RunResult> runBenchmark(const Scene &scene, const GpuConfig &cfg,
                                std::uint32_t frames,
                                std::uint32_t first_frame,
                                const CheckpointPlan &checkpoint);
+
+/** Serialize @p r (minus config and trace) as one JSON object value:
+ *  the Result section of a snapshot image. */
+void runResultToJson(JsonWriter &w, const RunResult &r);
+
+/** Inverse of runResultToJson; CorruptData on structural problems.
+ *  64-bit integers are recovered exactly (the parser keeps the raw
+ *  literal), image pixel hashes round-trip via hex strings. */
+Result<RunResult> runResultFromJson(const JsonValue &v);
 
 /**
  * Fraction of execution time attributable to memory: 1 - ideal/real,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <exception>
 #include <optional>
@@ -9,7 +10,6 @@
 #include <unordered_map>
 
 #include "common/log.hh"
-#include "sim/sweep_journal.hh"
 
 namespace libra
 {
@@ -42,7 +42,7 @@ namespace
 /** Run one job start-to-finish; never throws. */
 Result<RunResult>
 runJob(const SweepJob &job, SceneCache *cache,
-       const CheckpointPlan &checkpoint = {})
+       const CheckpointPlan &checkpoint)
 {
     try {
         if (!job.spec) {
@@ -131,52 +131,25 @@ SweepRunner::SweepRunner(unsigned workers)
 std::vector<Result<RunResult>>
 SweepRunner::run(std::vector<SweepJob> jobs, SceneCache *cache)
 {
+    SweepOutcome out = runWithPolicy(std::move(jobs), SweepPolicy{}, cache);
     std::vector<Result<RunResult>> results;
-    if (jobs.empty())
-        return results;
-
-    // Single worker (or single job): run inline, no threads. This is
-    // also the reference order the determinism test compares against.
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(workerCount, jobs.size()));
-    if (workers <= 1) {
-        results.reserve(jobs.size());
-        for (const SweepJob &job : jobs)
-            results.push_back(runJob(job, cache));
-        return results;
-    }
-
-    // Submission-order results: each job writes only its own slot, so
-    // no synchronization beyond join() is needed on the output.
-    std::vector<std::optional<Result<RunResult>>> slots(jobs.size());
-    std::vector<WorkerQueue> queues(workers);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        queues[i % workers].push(i);
-
-    auto work = [&](unsigned self) {
-        while (true) {
-            std::optional<std::size_t> index = queues[self].pop();
-            for (unsigned k = 1; !index && k < workers; ++k)
-                index = queues[(self + k) % workers].steal();
-            if (!index)
-                return; // every queue drained
-            slots[*index] = runJob(jobs[*index], cache);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(work, w);
-    for (std::thread &t : pool)
-        t.join();
-
-    results.reserve(jobs.size());
-    for (std::optional<Result<RunResult>> &slot : slots) {
-        libra_assert(slot.has_value(), "sweep job never ran");
-        results.push_back(std::move(*slot));
-    }
+    results.reserve(out.jobs.size());
+    for (JobOutcome &o : out.jobs)
+        results.push_back(std::move(o.result));
     return results;
+}
+
+std::string
+sweepJobKey(const SweepJob &job)
+{
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(job.config.configHash()));
+    return (job.spec ? job.spec->abbrev : std::string("?")) + ":"
+           + std::to_string(job.config.screenWidth) + "x"
+           + std::to_string(job.config.screenHeight) + ":f"
+           + std::to_string(job.frames) + "@"
+           + std::to_string(job.firstFrame) + ":cfg:" + hash;
 }
 
 std::size_t
@@ -222,16 +195,14 @@ struct PolicyRun
     std::mutex quarantineMtx;
     std::unordered_map<std::uint64_t, std::uint32_t> permanentStrikes;
 
-    std::mutex journalMtx;
-    SweepJournal *journal = nullptr; //!< null when no journal armed
-
-    /** Set once the journal's simulated kill fires: the "process" is
-     *  dead, so no further job may start. */
-    std::atomic<bool> killFlag{false};
+    /** Simulated kill of the snapshot writes (FaultPlan
+     *  `kill@snapshot=N`); once fired the "process" is dead, so no
+     *  further job may start. Null when no kill is armed. */
+    std::unique_ptr<SnapshotKill> kill;
 };
 
 /** "job 3 [CCS:256x128:f2@0:cfg:...]: <message>" — attributable in
- *  farm logs (satellite: job index + benchmark + config hash). */
+ *  sweep logs: job index + benchmark + config hash. */
 Status
 attributed(const PolicyRun &run, std::size_t index, const Status &st)
 {
@@ -239,45 +210,21 @@ attributed(const PolicyRun &run, std::size_t index, const Status &st)
                          run.keys[index], "]: ", st.message());
 }
 
-void
-journalOutcome(PolicyRun &run, std::size_t index)
-{
-    if (!run.journal)
-        return;
-    const JobOutcome &outcome = (*run.outcomes)[index];
-    JournalRecord record;
-    record.key = run.keys[index];
-    record.attempts = outcome.attempts;
-    if (outcome.result.isOk()) {
-        record.ok = true;
-        record.result = *outcome.result;
-    } else {
-        record.ok = false;
-        record.code = outcome.result.status().code();
-        record.message = outcome.result.status().message();
-    }
-    std::lock_guard<std::mutex> lock(run.journalMtx);
-    if (Status st = run.journal->append(record); !st.isOk())
-        warn("sweep journal: ", st.toString());
-    if (run.journal->killed())
-        run.killFlag.store(true, std::memory_order_relaxed);
-}
-
 /** Execute job @p index under the policy: quarantine fast-fail, then
- *  the attempt/retry loop, then journaling. */
+ *  the attempt/retry loop. */
 void
 runPolicyJob(PolicyRun &run, std::size_t index)
 {
     const SweepPolicy &policy = *run.policy;
     JobOutcome &outcome = (*run.outcomes)[index];
 
-    if (run.killFlag.load(std::memory_order_relaxed)) {
+    if (run.kill && run.kill->fired()) {
         outcome.notRun = true;
         outcome.result = attributed(
             run, index,
             Status::error(ErrorCode::Unavailable,
                           "sweep terminated before this job started"));
-        return; // a dead process journals nothing
+        return;
     }
 
     if (policy.quarantineThreshold > 0) {
@@ -291,7 +238,6 @@ runPolicyJob(PolicyRun &run, std::size_t index)
                 Status::error(ErrorCode::FailedPrecondition,
                               "config quarantined after ", it->second,
                               " permanent failures"));
-            journalOutcome(run, index);
             return;
         }
     }
@@ -300,7 +246,8 @@ runPolicyJob(PolicyRun &run, std::size_t index)
     CheckpointPlan checkpoint;
     checkpoint.dir = policy.checkpoint.dir;
     checkpoint.every = policy.checkpoint.every;
-    checkpoint.restore = policy.checkpoint.fromCheckpoint;
+    checkpoint.kill = run.kill.get();
+    checkpoint.framesRestored = &outcome.framesRestored;
     if (const std::shared_ptr<WarmGroup> group = run.warmGroups[index]) {
         std::call_once(group->once, [&] {
             // First member to arrive renders the shared prefix once
@@ -389,8 +336,6 @@ runPolicyJob(PolicyRun &run, std::size_t index)
         outcome.result = attributed(run, index, st);
         break;
     }
-
-    journalOutcome(run, index);
 }
 
 } // namespace
@@ -416,79 +361,36 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
         run.hashes.push_back(job.config.configHash());
     }
 
-    // --- Journal: load (resume), then open for appending --------------
-    SweepJournal journal;
-    std::vector<JournalRecord> replayable;
-    if (!policy.journalPath.empty()) {
-        if (policy.resume) {
-            Result<std::vector<JournalRecord>> loaded =
-                SweepJournal::load(policy.journalPath);
-            if (!loaded.isOk()) {
-                for (std::size_t i = 0; i < jobs.size(); ++i)
-                    out.jobs[i].result =
-                        attributed(run, i, loaded.status());
-                return out;
-            }
-            replayable = std::move(*loaded);
-        }
-        Result<SweepJournal> opened =
-            SweepJournal::open(policy.journalPath);
-        if (!opened.isOk()) {
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                out.jobs[i].result = attributed(run, i, opened.status());
-            return out;
-        }
-        journal = std::move(*opened);
 #if LIBRA_FAULTS_ENABLED
-        if (!policy.faults.empty()) {
-            journal.armKill(
-                FaultInjector(policy.faults, 0).killAtAppend());
-        }
+    if (!policy.faults.empty()) {
+        if (const std::uint64_t at =
+                FaultInjector(policy.faults, 0).killAtSnapshot())
+            run.kill = std::make_unique<SnapshotKill>(at);
+    }
 #endif
-        run.journal = &journal;
-    }
-
-    // --- Resume: replay journaled successes ---------------------------
-    // Failed records are deliberately NOT replayed: re-running them is
-    // the point of resuming (a transient hiccup may have cleared).
-    std::unordered_map<std::string, const JournalRecord *> done;
-    for (const JournalRecord &record : replayable)
-        if (record.ok)
-            done[record.key] = &record;
-
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        auto it = done.find(run.keys[i]);
-        if (it == done.end()) {
-            pending.push_back(i);
-            continue;
-        }
-        JobOutcome &outcome = out.jobs[i];
-        RunResult result = it->second->result;
-        result.config = jobs[i].config; // the key proved them identical
-        result.config.faults.reset();
-        result.config.watchdog.cancel.reset();
-        outcome.result = std::move(result);
-        outcome.attempts = it->second->attempts;
-        outcome.fromJournal = true;
-        ++out.replayedFromJournal;
-    }
 
     // --- Warm-prefix groups (CheckpointPolicy::warmPrefixFrames) ------
-    // Grouped over the still-pending jobs only; a group needs >= 2
-    // members to amortize the prefix run, and each member must render
-    // past the prefix. Disabled under a fault plan: injected faults
-    // are positional, so forking would change what each job observes.
+    // A group needs >= 2 members to amortize the prefix run, and each
+    // member must render past the prefix. Jobs with a snapshot in the
+    // checkpoint dir restore from it and join no group. Disabled under
+    // a fault plan: injected faults are positional, so forking would
+    // change what each job observes.
     run.warmGroups.assign(jobs.size(), nullptr);
     if (policy.checkpoint.warmPrefixFrames > 0 && policy.faults.empty()) {
         using GroupKey =
             std::tuple<std::string, std::uint32_t, std::uint32_t,
                        std::uint32_t, std::uint32_t, std::uint64_t>;
         std::map<GroupKey, std::vector<std::size_t>> groups;
-        for (std::size_t index : pending) {
+        for (std::size_t index = 0; index < jobs.size(); ++index) {
             const SweepJob &job = jobs[index];
             if (!job.spec
                 || job.frames <= policy.checkpoint.warmPrefixFrames)
+                continue;
+            if (!policy.checkpoint.dir.empty()
+                && checkpointedFrames(policy.checkpoint.dir,
+                                      job.spec->abbrev, job.config,
+                                      job.frames, job.firstFrame)
+                       > 0)
                 continue;
             groups[GroupKey{job.spec->abbrev, job.config.screenWidth,
                             job.config.screenHeight, job.frames,
@@ -511,7 +413,7 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
     std::vector<std::vector<std::size_t>> chains;
     if (policy.quarantineThreshold > 0) {
         std::unordered_map<std::uint64_t, std::size_t> chain_of;
-        for (std::size_t index : pending) {
+        for (std::size_t index = 0; index < jobs.size(); ++index) {
             auto [it, inserted] =
                 chain_of.try_emplace(run.hashes[index], chains.size());
             if (inserted)
@@ -519,13 +421,13 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
             chains[it->second].push_back(index);
         }
     } else {
-        chains.reserve(pending.size());
-        for (std::size_t index : pending)
+        chains.reserve(jobs.size());
+        for (std::size_t index = 0; index < jobs.size(); ++index)
             chains.push_back({index});
     }
 
-    const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-        workerCount, chains.empty() ? 1 : chains.size()));
+    const unsigned workers = static_cast<unsigned>(
+        std::min<std::size_t>(workerCount, chains.size()));
     if (workers <= 1) {
         for (const std::vector<std::size_t> &chain : chains)
             for (std::size_t index : chain)
@@ -555,9 +457,15 @@ SweepRunner::runWithPolicy(std::vector<SweepJob> jobs,
             t.join();
     }
 
-    out.killed = run.killFlag.load(std::memory_order_relaxed);
+    out.killed = run.kill && run.kill->fired();
     out.warmPrefixForks =
         run.warmForks.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobOutcome &o = out.jobs[i];
+        if (o.result.isOk() && jobs[i].frames > 0
+            && o.framesRestored == jobs[i].frames)
+            ++out.restoredWhole;
+    }
     return out;
 }
 

@@ -88,31 +88,32 @@ class SceneCache
  * mechanisms, both built on frame-boundary snapshots
  * (src/check/snapshot.hh):
  *
- *  - **Periodic checkpoints** (@ref dir + @ref every): every job writes
- *    a snapshot into @ref dir every N frames; with @ref fromCheckpoint
- *    a re-run sweep restores each job from its freshest usable
- *    snapshot and renders only the remaining frames. Byte-identity:
- *    the resumed results equal the uninterrupted ones.
+ *  - **The checkpoint dir** (@ref dir, @ref every): the sweep's one
+ *    persistent result store. Every job writes its final-frame
+ *    snapshot there (plus one every N frames with @ref every), and
+ *    first restores from the freshest snapshot of its own key. A
+ *    finished job therefore re-renders zero frames, so resuming a
+ *    killed sweep is re-running it against the same dir.
+ *    Byte-identity: the resumed results equal the uninterrupted ones.
  *  - **Warm-prefix forking** (@ref warmPrefixFrames): jobs differing
  *    only in the adaptive-controller thresholds (equal
  *    GpuConfig::warmPrefixHash(), same benchmark/resolution/frame
  *    range — e.g. a fig19_sensitivity threshold sweep) render
  *    byte-identical opening frames. The first group member runs that
  *    prefix once, snapshots in memory, and every member forks from the
- *    restored state instead of re-rendering it. Disabled while a fault
- *    plan is armed (injected faults are positional; forking would
- *    change what each job observes).
+ *    restored state instead of re-rendering it. Jobs that already have
+ *    a snapshot in @ref dir restore from it and join no group.
+ *    Disabled while a fault plan is armed (injected faults are
+ *    positional; forking would change what each job observes).
  */
 struct CheckpointPolicy
 {
-    /** Snapshot directory; empty disables periodic checkpointing. */
+    /** Snapshot directory; empty disables the store. */
     std::string dir;
 
-    /** Write a snapshot every N finished frames (0 = never). */
+    /** Also write a snapshot every N finished frames (0 = final frame
+     *  only). */
     std::uint32_t every = 0;
-
-    /** Restore each job from the freshest usable snapshot in dir. */
-    bool fromCheckpoint = false;
 
     /**
      * Warm-prefix length in frames shared across a threshold sweep; 0
@@ -126,8 +127,8 @@ struct CheckpointPolicy
 
 /**
  * Failure-handling policy for SweepRunner::runWithPolicy. The default
- * policy (all fields at their defaults) behaves exactly like run():
- * one attempt per job, no deadline, no quarantine, no journal.
+ * policy (all fields at their defaults) is what run() executes: one
+ * attempt per job, no deadline, no quarantine, no checkpoint dir.
  *
  * See DESIGN.md, "Failure model", for the taxonomy behind the knobs.
  */
@@ -158,18 +159,10 @@ struct SweepPolicy
      */
     std::uint32_t quarantineThreshold = 0;
 
-    /** Append-only fsync'd result journal (sweep_journal.hh); empty =
-     *  no journal. */
-    std::string journalPath;
-
-    /** Replay journaled successes instead of re-running them; failed
-     *  and unfinished jobs re-run. Needs journalPath. */
-    bool resume = false;
-
     /** Armed fault plan (chaos testing; empty = no injection). */
     FaultPlan faults;
 
-    /** Snapshot/restore and warm-prefix forking (see CheckpointPolicy). */
+    /** Checkpoint dir and warm-prefix forking (see CheckpointPolicy). */
     CheckpointPolicy checkpoint;
 };
 
@@ -179,8 +172,10 @@ struct JobOutcome
     Result<RunResult> result =
         Status::error(ErrorCode::Unavailable, "job never ran");
 
-    std::uint32_t attempts = 0;  //!< attempts consumed (0 if replayed)
-    bool fromJournal = false;    //!< replayed, not executed
+    std::uint32_t attempts = 0;  //!< attempts consumed
+    /** Frames restored from the checkpoint dir or a warm prefix
+     *  instead of rendered (the last attempt's; 0 = cold). */
+    std::uint32_t framesRestored = 0;
     bool quarantined = false;    //!< failed fast on a quarantined config
     bool notRun = false;         //!< sweep died before this job started
 };
@@ -190,12 +185,14 @@ struct SweepOutcome
 {
     std::vector<JobOutcome> jobs; //!< submission order
 
-    /** The journal's simulated kill fired (fault plans only): appends
-     *  stopped and unstarted jobs were abandoned, as a real SIGKILL
-     *  would. */
+    /** The simulated kill fired (FaultPlan `kill@snapshot=N`, fault
+     *  plans only): snapshot writes stopped and unstarted jobs were
+     *  abandoned, as a real SIGKILL would. */
     bool killed = false;
 
-    std::uint64_t replayedFromJournal = 0;
+    /** Jobs restored whole from their final snapshot in the checkpoint
+     *  dir: finished in an earlier run, re-rendered zero frames. */
+    std::uint64_t restoredWhole = 0;
 
     /** Jobs that forked from a shared warm-prefix snapshot instead of
      *  rendering their opening frames cold (CheckpointPolicy). */
@@ -205,6 +202,14 @@ struct SweepOutcome
      *  not-run). */
     std::size_t failureCount() const;
 };
+
+/**
+ * Stable identity of a sweep job: benchmark abbrev, resolution, frame
+ * range and the 16-hex-digit GpuConfig::configHash(). Two jobs with
+ * equal keys produce byte-identical results (the simulator is
+ * deterministic). Prefixes attributed failure messages.
+ */
+std::string sweepJobKey(const SweepJob &job);
 
 /**
  * Work-stealing pool of sweep workers.
@@ -220,27 +225,29 @@ class SweepRunner
     explicit SweepRunner(unsigned workers = 0);
 
     /**
-     * Run every job and return their results in submission order.
-     * With @p cache non-null, scenes are built through it (and shared
-     * with any other sweep using the same cache); otherwise each job
-     * builds its own.
+     * Run every job and return their results in submission order:
+     * runWithPolicy() under the default policy. With @p cache non-null,
+     * scenes are built through it (and shared with any other sweep
+     * using the same cache); otherwise each job builds its own.
      */
     std::vector<Result<RunResult>> run(std::vector<SweepJob> jobs,
                                        SceneCache *cache = nullptr);
 
     /**
-     * Fault-tolerant execution: run() plus per-attempt wall-clock
-     * deadlines, bounded exponential-backoff retries for transient
-     * failures, quarantine of repeatedly-failing configs, a crash-safe
-     * result journal with resume, and fault injection. Failure Status
-     * messages are prefixed "job <index> [<key>]: " (the key carries
-     * benchmark, resolution, frame range and config hash) so farm logs
-     * are attributable. A sweep with failures still completes — policy
-     * on whether that fails the process lives with the caller (bench
-     * binaries: exit nonzero unless --keep-going).
+     * Fault-tolerant execution: per-attempt wall-clock deadlines,
+     * bounded exponential-backoff retries for transient failures,
+     * quarantine of repeatedly-failing configs, the checkpoint dir
+     * (restore, then snapshot every job) and fault injection. Failure
+     * Status messages are prefixed "job <index> [<key>]: " (the key
+     * carries benchmark, resolution, frame range and config hash) so
+     * sweep logs are attributable. A sweep with failures still
+     * completes — policy on whether that fails the process lives with
+     * the caller (bench binaries: exit nonzero unless --keep-going).
      *
-     * Guarantee: with a default policy, outcomes carry results
-     * bit-identical to run() on the same jobs.
+     * Jobs are dealt round-robin onto per-worker deques (one chain of
+     * same-config jobs per entry under quarantine); a single worker
+     * runs them inline in submission order, the reference order of the
+     * determinism tests.
      */
     SweepOutcome runWithPolicy(std::vector<SweepJob> jobs,
                                const SweepPolicy &policy,

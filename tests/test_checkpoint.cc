@@ -6,12 +6,14 @@
  * frame-F snapshot must finish with counter dumps, RunReports and
  * Chrome traces identical to the uninterrupted run, with and without an
  * armed fault plan. On top sit the sweep-layer behaviors: warm-prefix
- * forking of threshold sweeps (fig19-style), periodic checkpoint
- * files + manifest rows, and the kill-mid-sweep → restore round trip.
+ * forking of threshold sweeps (fig19-style), and the checkpoint dir as
+ * the sweep's result store — final and periodic snapshots, automatic
+ * restore, and the kill-mid-sweep → re-run round trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "gpu/gpu_config.hh"
 #include "gpu/runner.hh"
 #include "sim/sweep.hh"
+#include "trace/json.hh"
 #include "trace/run_report.hh"
 #include "workload/benchmarks.hh"
 #include "workload/scene.hh"
@@ -53,6 +56,27 @@ scratchDir(const std::string &name)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir.string();
+}
+
+/** Names of the regular files in @p dir, sorted. */
+std::vector<std::string>
+filesIn(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** File name of @p cfg's CCS snapshot after @p done frames. */
+std::string
+ccsSnapshot(const GpuConfig &cfg, std::uint32_t done,
+            std::uint32_t first = 0)
+{
+    return snapshotFileName(cfg.configHash(),
+                            snapshotSceneHash("CCS", kWidth, kHeight),
+                            first, done);
 }
 
 /** Render @p prefix frames and return the captured snapshot image. */
@@ -245,9 +269,9 @@ TEST(Checkpoint, WarmPrefixForkingDisabledUnderFaultPlan)
 TEST(Checkpoint, KillMidRunResumesFromFreshestSnapshot)
 {
     // The CI round trip in miniature: a run dies mid-way (simulated by
-    // only rendering a prefix), a second invocation restores from the
-    // checkpoint dir and must finish with the uninterrupted run's
-    // exact results.
+    // only rendering a prefix), a second invocation against the same
+    // dir restores from its freshest snapshot and must finish with the
+    // uninterrupted run's exact results.
     const GpuConfig cfg = smallConfig();
     const Scene scene(findBenchmark("CCS"), kWidth, kHeight);
     const std::string dir = scratchDir("resume");
@@ -262,26 +286,25 @@ TEST(Checkpoint, KillMidRunResumesFromFreshestSnapshot)
     Result<RunResult> partial =
         runBenchmark(scene, cfg, 3, 0, writing);
     ASSERT_TRUE(partial.isOk()) << partial.status().toString();
-
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(manifest.isOk());
-    // Frames 1 and 2 are checkpointed; the final frame of a run never
-    // is (the run is already done).
-    EXPECT_EQ(manifest->size(), 2u);
+    EXPECT_EQ(filesIn(dir),
+              (std::vector<std::string>{ccsSnapshot(cfg, 1),
+                                        ccsSnapshot(cfg, 2),
+                                        ccsSnapshot(cfg, 3)}));
 
     CheckpointPlan resume;
     resume.dir = dir;
-    resume.restore = true;
+    std::uint32_t restored_frames = 0;
+    resume.framesRestored = &restored_frames;
     Result<RunResult> resumed =
         runBenchmark(scene, cfg, kFrames, 0, resume);
     ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
+    EXPECT_EQ(restored_frames, 3u);
     EXPECT_EQ(resumed->counters, cold->counters);
     EXPECT_EQ(runReportJson(*resumed), runReportJson(*cold));
     std::filesystem::remove_all(dir);
 }
 
-TEST(Checkpoint, PeriodicWritesSkipFinalFrameAndRespectEvery)
+TEST(Checkpoint, PeriodicWritesRespectEveryAndIncludeFinalFrame)
 {
     const GpuConfig cfg = smallConfig();
     const Scene scene(findBenchmark("CCS"), kWidth, kHeight);
@@ -289,16 +312,242 @@ TEST(Checkpoint, PeriodicWritesSkipFinalFrameAndRespectEvery)
 
     CheckpointPlan plan;
     plan.dir = dir;
-    plan.every = 2;
+    plan.every = 3;
     Result<RunResult> r = runBenchmark(scene, cfg, kFrames, 0, plan);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
+    // 4 frames, every 3: frame 3 is periodic, frame 4 is final.
+    EXPECT_EQ(filesIn(dir),
+              (std::vector<std::string>{ccsSnapshot(cfg, 3),
+                                        ccsSnapshot(cfg, 4)}));
 
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(manifest.isOk());
-    // 4 frames, every 2: only frame 2 qualifies (frame 4 is final).
-    ASSERT_EQ(manifest->size(), 1u);
-    EXPECT_EQ((*manifest)[0].framesDone, 2u);
-    EXPECT_EQ((*manifest)[0].configHash, cfg.configHash());
+    // Without `every`, only the final snapshot is written.
+    const std::string final_only = scratchDir("final_only");
+    plan.dir = final_only;
+    plan.every = 0;
+    ASSERT_TRUE(runBenchmark(scene, cfg, kFrames, 0, plan).isOk());
+    EXPECT_EQ(filesIn(final_only),
+              (std::vector<std::string>{ccsSnapshot(cfg, kFrames)}));
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(final_only);
+}
+
+TEST(Checkpoint, RunResultJsonRoundTripIsExact)
+{
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    GpuConfig cfg = smallConfig();
+    cfg.captureImage = true; // exercise the image-hash path too
+    Result<RunResult> r = runBenchmark(ccs, cfg, 2);
+    ASSERT_TRUE(r.isOk()) << r.status().toString();
+
+    JsonWriter w1;
+    runResultToJson(w1, *r);
+    const std::string first = w1.str();
+
+    Result<JsonValue> parsed = parseJson(first);
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    Result<RunResult> back = runResultFromJson(*parsed);
+    ASSERT_TRUE(back.isOk()) << back.status().toString();
+
+    // Exact fidelity: serializing the deserialized result reproduces
+    // the document byte for byte (u64 counters, %.17g doubles, image
+    // hashes — nothing may lose precision through a snapshot).
+    JsonWriter w2;
+    runResultToJson(w2, *back);
+    EXPECT_EQ(first, w2.str());
+    EXPECT_EQ(r->counters, back->counters);
+    ASSERT_EQ(r->frames.size(), back->frames.size());
+    EXPECT_EQ(r->frames[1].totalCycles, back->frames[1].totalCycles);
+}
+
+namespace
+{
+
+/** Three small CCS jobs (baseline, PTR, LIBRA), two frames each. */
+std::vector<SweepJob>
+storeJobs(const BenchmarkSpec &ccs)
+{
+    std::vector<SweepJob> jobs;
+    for (GpuConfig cfg : {GpuConfig::baseline(8), GpuConfig::ptr(2, 4),
+                          GpuConfig::libra(2, 4)}) {
+        cfg.screenWidth = kWidth;
+        cfg.screenHeight = kHeight;
+        jobs.push_back(SweepJob{&ccs, cfg, 2, 0});
+    }
+    return jobs;
+}
+
+SweepPolicy
+storePolicy(const std::string &dir)
+{
+    SweepPolicy policy;
+    policy.checkpoint.dir = dir;
+    return policy;
+}
+
+/** Report-set document of a SweepOutcome, the way the benches build
+ *  it: completed runs in order plus the failures section. */
+std::string
+outcomeReport(const std::vector<SweepJob> &jobs,
+              const SweepOutcome &outcome)
+{
+    std::vector<RunResult> runs;
+    std::vector<ReportFailure> failures;
+    for (std::size_t i = 0; i < outcome.jobs.size(); ++i) {
+        const JobOutcome &o = outcome.jobs[i];
+        if (o.result.isOk()) {
+            runs.push_back(*o.result);
+            continue;
+        }
+        const Status &st = o.result.status();
+        failures.push_back({i, sweepJobKey(jobs[i]),
+                            errorCodeName(st.code()),
+                            std::string(st.message()), o.attempts,
+                            o.quarantined, o.notRun});
+    }
+    return sweepReportJson(runs, failures);
+}
+
+} // namespace
+
+TEST(CheckpointDir, KillAndResumeReportIsByteIdentical)
+{
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const std::string dir = scratchDir("kill");
+
+    // Reference: the same sweep, never interrupted, no checkpoint dir.
+    SweepRunner pool(1); // deterministic execution order for the kill
+    SceneCache cache;
+    const std::string reference = outcomeReport(
+        storeJobs(ccs),
+        pool.runWithPolicy(storeJobs(ccs), SweepPolicy{}, &cache));
+
+    // The "process" dies during the second snapshot write: job 0's
+    // final snapshot is durable, job 1's is a torn temp file, job 2
+    // never starts.
+    SweepPolicy dying = storePolicy(dir);
+    Result<FaultPlan> plan = FaultPlan::parse("kill@snapshot=2");
+    ASSERT_TRUE(plan.isOk());
+    dying.faults = *plan;
+    SweepOutcome crashed =
+        pool.runWithPolicy(storeJobs(ccs), dying, &cache);
+    EXPECT_TRUE(crashed.killed);
+    EXPECT_EQ(crashed.failureCount(), 1u);
+    ASSERT_TRUE(crashed.jobs[0].result.isOk());
+    EXPECT_TRUE(crashed.jobs[2].notRun);
+    const std::string durable = ccsSnapshot(storeJobs(ccs)[0].config, 2);
+    const std::string torn =
+        ccsSnapshot(storeJobs(ccs)[1].config, 2) + ".tmp.";
+    const std::vector<std::string> left = filesIn(dir);
+    ASSERT_EQ(left.size(), 2u);
+    EXPECT_EQ(std::count(left.begin(), left.end(), durable), 1);
+    EXPECT_EQ(std::count_if(left.begin(), left.end(),
+                            [&](const std::string &name) {
+                                return name.rfind(torn, 0) == 0;
+                            }),
+              1);
+
+    // Re-run without faults: job 0 restores whole, the torn write is
+    // ignored, and the report is byte-identical to the uninterrupted
+    // run.
+    SweepOutcome resumed =
+        pool.runWithPolicy(storeJobs(ccs), storePolicy(dir), &cache);
+    EXPECT_FALSE(resumed.killed);
+    EXPECT_EQ(resumed.restoredWhole, 1u);
+    EXPECT_EQ(resumed.jobs[0].framesRestored, 2u);
+    EXPECT_EQ(resumed.jobs[1].framesRestored, 0u);
+    EXPECT_EQ(resumed.failureCount(), 0u);
+    EXPECT_EQ(outcomeReport(storeJobs(ccs), resumed), reference);
+
+    // A third run finds every job finished.
+    SweepOutcome again =
+        pool.runWithPolicy(storeJobs(ccs), storePolicy(dir), &cache);
+    EXPECT_EQ(again.restoredWhole, 3u);
+    EXPECT_EQ(outcomeReport(storeJobs(ccs), again), reference);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDir, JobsDifferingOnlyInFirstFrameBothRestore)
+{
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const std::string dir = scratchDir("first_frame");
+    std::vector<SweepJob> jobs;
+    jobs.push_back(SweepJob{&ccs, smallConfig(), 2, 0});
+    jobs.push_back(SweepJob{&ccs, smallConfig(), 2, 1});
+
+    SweepRunner pool(2);
+    SceneCache cache;
+    SweepOutcome first = pool.runWithPolicy(jobs, storePolicy(dir), &cache);
+    ASSERT_EQ(first.failureCount(), 0u);
+    EXPECT_EQ(first.restoredWhole, 0u);
+    EXPECT_EQ(filesIn(dir).size(), 2u);
+
+    SweepOutcome second =
+        pool.runWithPolicy(jobs, storePolicy(dir), &cache);
+    EXPECT_EQ(second.restoredWhole, 2u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_TRUE(second.jobs[i].result.isOk());
+        EXPECT_EQ(runReportJson(*first.jobs[i].result),
+                  runReportJson(*second.jobs[i].result))
+            << "job " << i;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDir, StrayTempOrTruncatedSnapshotColdRunsOnlyItsJob)
+{
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const std::string dir = scratchDir("damaged");
+    const std::vector<SweepJob> jobs = storeJobs(ccs);
+
+    SweepRunner pool(3);
+    SceneCache cache;
+    SweepOutcome first = pool.runWithPolicy(jobs, storePolicy(dir), &cache);
+    ASSERT_EQ(first.failureCount(), 0u);
+
+    // Job 0: its final snapshot only ever reached a temp file (a crash
+    // before the rename). Job 1: a truncated final snapshot.
+    const std::filesystem::path snap0 =
+        std::filesystem::path(dir) / ccsSnapshot(jobs[0].config, 2);
+    std::filesystem::rename(snap0, snap0.string() + ".tmp.1.0");
+    const std::filesystem::path snap1 =
+        std::filesystem::path(dir) / ccsSnapshot(jobs[1].config, 2);
+    std::filesystem::resize_file(
+        snap1, std::filesystem::file_size(snap1) / 2);
+
+    SweepOutcome second =
+        pool.runWithPolicy(jobs, storePolicy(dir), &cache);
+    EXPECT_EQ(second.failureCount(), 0u);
+    EXPECT_EQ(second.restoredWhole, 1u);
+    EXPECT_EQ(second.jobs[0].framesRestored, 0u);
+    EXPECT_EQ(second.jobs[1].framesRestored, 0u);
+    EXPECT_EQ(second.jobs[2].framesRestored, 2u);
+    EXPECT_EQ(outcomeReport(jobs, second), outcomeReport(jobs, first));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDir, WarmPrefixRerunRestoresEveryJobAndForksNone)
+{
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const std::string dir = scratchDir("warm");
+    std::vector<SweepJob> jobs;
+    for (const double thr : {0.0, 0.0025, 0.01, 0.05}) {
+        GpuConfig cfg = smallConfig();
+        cfg.sched.resizeThreshold = thr;
+        jobs.push_back(SweepJob{&ccs, cfg, kFrames, 0});
+    }
+
+    SweepRunner pool(2);
+    SceneCache cache;
+    SweepPolicy policy = storePolicy(dir);
+    policy.checkpoint.warmPrefixFrames = 2;
+    SweepOutcome first = pool.runWithPolicy(jobs, policy, &cache);
+    ASSERT_EQ(first.failureCount(), 0u);
+    EXPECT_EQ(first.warmPrefixForks, 4u);
+    EXPECT_EQ(first.restoredWhole, 0u);
+
+    SweepOutcome second = pool.runWithPolicy(jobs, policy, &cache);
+    EXPECT_EQ(second.warmPrefixForks, 0u);
+    EXPECT_EQ(second.restoredWhole, 4u);
+    EXPECT_EQ(outcomeReport(jobs, second), outcomeReport(jobs, first));
     std::filesystem::remove_all(dir);
 }

@@ -26,7 +26,7 @@ TEST(FaultPlan, SpecRoundTripsThroughParseAndToString)
     const std::string spec =
         "seed=42;watchdog@frame=1;dropfill:l2@every=64;"
         "dramstall@every=128,ticks=500;transient@job=3,count=2;"
-        "corrupt:truncate@offset=7;kill@append=5";
+        "corrupt:truncate@offset=7;kill@snapshot=5";
     const Result<FaultPlan> plan = FaultPlan::parse(spec);
     ASSERT_TRUE(plan.isOk()) << plan.status().toString();
     EXPECT_EQ(plan->seed, 42u);
@@ -49,6 +49,7 @@ TEST(FaultPlan, MalformedSpecsAreInvalidArgument)
              "dramstall@ticks=10",      //!< dramstall without a period
              "transient@job=1x",        //!< trailing garbage in number
              "seed=",                   //!< empty value
+             "kill@append=1",           //!< retired journal kill point
          }) {
         const Result<FaultPlan> plan = FaultPlan::parse(bad);
         EXPECT_FALSE(plan.isOk()) << bad;
@@ -119,16 +120,16 @@ TEST(FaultInjector, DropFillMatchesCacheNamePrefix)
 TEST(FaultInjector, DramStallAndKillPointReadBack)
 {
     const Result<FaultPlan> plan = FaultPlan::parse(
-        "dramstall@every=128,ticks=500;kill@append=3");
+        "dramstall@every=128,ticks=500;kill@snapshot=3");
     ASSERT_TRUE(plan.isOk());
     const FaultInjector inj(*plan, 0);
     EXPECT_EQ(inj.dramStallEvery(), 128u);
     EXPECT_EQ(inj.dramStallTicks(), Tick{500});
-    EXPECT_EQ(inj.killAtAppend(), 3u);
+    EXPECT_EQ(inj.killAtSnapshot(), 3u);
 
     const FaultInjector none(FaultPlan{}, 0);
     EXPECT_EQ(none.dramStallEvery(), 0u);
-    EXPECT_EQ(none.killAtAppend(), 0u);
+    EXPECT_EQ(none.killAtSnapshot(), 0u);
 }
 
 TEST(FaultInjector, TransientFailureTargetsJobAndAttemptWindow)

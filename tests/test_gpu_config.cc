@@ -2,12 +2,16 @@
  * @file
  * Tests for GpuConfig::validate(): every shipped preset must pass, and
  * each class of misconfiguration must be rejected with InvalidArgument
- * before a simulation is built on top of it.
+ * before a simulation is built on top of it. Plus configHash(), which
+ * names checkpoint snapshot files: distinct presets must hash apart.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "gpu/gpu_config.hh"
+#include "gpu/policy_registry.hh"
 
 using namespace libra;
 
@@ -37,7 +41,7 @@ TEST(GpuConfigValidate, ShippedPresetsAreValid)
 
 TEST(GpuConfigValidate, BenchResolutionsAreValid)
 {
-    for (const auto [w, h] : {std::pair<std::uint32_t, std::uint32_t>
+    for (const auto &[w, h] : {std::pair<std::uint32_t, std::uint32_t>
                               {960, 544}, {1920, 1080}, {512, 288}}) {
         GpuConfig cfg = GpuConfig::libra(2, 4);
         cfg.screenWidth = w;
@@ -192,4 +196,26 @@ TEST(GpuConfigValidate, RejectsBadCompressionRatio)
     cfg = GpuConfig();
     cfg.fbCompressionRatio = 1.5;
     expectInvalid(cfg, "ratio above 1");
+}
+
+TEST(GpuConfigHash, PolicyPresetsHashApart)
+{
+    // Checkpoint files are named by configHash; every registry preset
+    // applied to the same machine must hash apart — in particular the
+    // renderingElimination flag must be part of the chain, or an RE
+    // run could restore a non-RE snapshot.
+    std::set<std::uint64_t> hashes;
+    for (const PolicyInfo &p : policyRegistry()) {
+        GpuConfig cfg = GpuConfig::ptr(2, 4);
+        ASSERT_TRUE(applyPolicy(cfg, p.name).isOk()) << p.name;
+        EXPECT_TRUE(hashes.insert(cfg.configHash()).second)
+            << p.name << " collides with another preset";
+    }
+    EXPECT_GE(hashes.size(), 7u);
+
+    // The flag alone separates otherwise-identical configs.
+    GpuConfig off = GpuConfig::ptr(2, 4);
+    GpuConfig on = off;
+    on.renderingElimination = true;
+    EXPECT_NE(off.configHash(), on.configHash());
 }

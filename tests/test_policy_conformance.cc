@@ -1,7 +1,7 @@
 /**
  * @file
  * Policy-conformance harness: every entry of the policy registry must
- * satisfy the same behavioral contract (DESIGN.md §13). The suite is
+ * satisfy the same behavioral contract (DESIGN.md §12). The suite is
  * parameterized over the registry, so registering a new policy
  * automatically subjects it to all three legs:
  *

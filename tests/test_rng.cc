@@ -125,8 +125,8 @@ TEST(Rng, SplitMixAdvancesState)
 
 // --- hashCombine as a persistent-key mixer ---------------------------
 //
-// Since the sim-farm result cache, hashCombine feeds identities that
-// live on disk (configHash, sceneHash, cache keys), so its collision
+// hashCombine feeds identities that live on disk (configHash and
+// sceneHash, which name and key checkpoint snapshots), so its collision
 // and avalanche behaviour — and its exact output — are contracts, not
 // implementation details.
 
@@ -218,10 +218,10 @@ TEST(HashCombine, AvalancheOnSingleBitFlips)
 
 TEST(HashCombine, PinnedOutputs)
 {
-    // The mixer's exact output is load-bearing: every snapshot,
-    // manifest and cached report on disk is keyed through it. If this
-    // test fails, you changed the mixer — bump kSnapshotCodeVersion
-    // AND kResultCacheCodeVersion in the same commit (see rng.hh).
+    // The mixer's exact output is load-bearing: every snapshot on disk
+    // is named and keyed through it. If this test fails, you changed
+    // the mixer — bump kSnapshotCodeVersion in the same commit (see
+    // rng.hh).
     EXPECT_EQ(hashCombine(0, 0), 0x6e789e6aa1b965f4ull);
     EXPECT_EQ(hashCombine(1, 2), 0xa3efbcce2e044f84ull);
     EXPECT_EQ(hashCombine(2, 1), 0x88a32f63162d1170ull);

@@ -8,8 +8,8 @@
  * crash or a silently-wrong restore), and the runner's fallback
  * contract: a run pointed at a corrupt, truncated or wrong-version
  * snapshot degrades to a cold run whose results are byte-identical to
- * never having checkpointed at all. Plus the manifest's selection
- * rules.
+ * never having checkpointed at all. Plus the checkpoint dir's file
+ * discipline: key-named files, atomic writes.
  */
 
 #include <gtest/gtest.h>
@@ -252,15 +252,11 @@ TEST(SnapshotContainer, CorruptDirSnapshotFallsBackToColdRun)
     Result<RunResult> seeded =
         runBenchmark(scene, cfg, kFrames, 0, writing);
     ASSERT_TRUE(seeded.isOk()) << seeded.status().toString();
-    Result<std::vector<SnapshotManifestEntry>> manifest =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(manifest.isOk()) << manifest.status().toString();
-    ASSERT_FALSE(manifest->empty());
 
     // Damage every snapshot file in place.
-    for (const SnapshotManifestEntry &e : *manifest) {
-        const std::string path =
-            (std::filesystem::path(dir) / e.file).string();
+    std::size_t damaged = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string path = entry.path().string();
         Result<std::vector<std::uint8_t>> bytes =
             readSnapshotFile(path);
         ASSERT_TRUE(bytes.isOk());
@@ -269,61 +265,25 @@ TEST(SnapshotContainer, CorruptDirSnapshotFallsBackToColdRun)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(reinterpret_cast<const char *>(bad.data()),
                   static_cast<std::streamsize>(bad.size()));
+        ++damaged;
     }
+    EXPECT_EQ(damaged, kFrames);
 
-    // A restoring run over the damaged dir must degrade to a cold run
-    // with identical results — and never crash.
+    // A run over the damaged dir must degrade to a cold run with
+    // identical results — and never crash.
     CheckpointPlan restoring;
     restoring.dir = dir;
-    restoring.restore = true;
+    std::uint32_t restored_frames = 99;
+    restoring.framesRestored = &restored_frames;
     Result<RunResult> restored =
         runBenchmark(scene, cfg, kFrames, 0, restoring);
     ASSERT_TRUE(restored.isOk()) << restored.status().toString();
+    EXPECT_EQ(restored_frames, 0u);
     EXPECT_EQ(restored->counters, seeded->counters);
     std::filesystem::remove_all(dir);
 }
 
-TEST(SnapshotManifest, MissingDirIsEmptyAndEntriesSelect)
-{
-    Result<std::vector<SnapshotManifestEntry>> none =
-        loadSnapshotManifest("/nonexistent/libra/snapdir");
-    ASSERT_TRUE(none.isOk()) << none.status().toString();
-    EXPECT_TRUE(none->empty());
-
-    const std::string dir = scratchDir("manifest");
-    SnapshotManifestEntry e;
-    e.configHash = 7;
-    e.sceneHash = 9;
-    e.codeVersion = kSnapshotCodeVersion;
-    e.firstFrame = 0;
-    e.framesDone = 2;
-    e.file = snapshotFileName(7, 9, 2);
-    ASSERT_TRUE(recordSnapshotInManifest(dir, e).isOk());
-    e.framesDone = 3;
-    e.file = snapshotFileName(7, 9, 3);
-    ASSERT_TRUE(recordSnapshotInManifest(dir, e).isOk());
-
-    Result<std::vector<SnapshotManifestEntry>> loaded =
-        loadSnapshotManifest(dir);
-    ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
-    ASSERT_EQ(loaded->size(), 2u);
-
-    // Freshest usable entry wins; a cap below it picks the older one;
-    // wrong keys find nothing.
-    const SnapshotManifestEntry *best =
-        findSnapshotEntry(*loaded, 7, 9, 0, 10);
-    ASSERT_NE(best, nullptr);
-    EXPECT_EQ(best->framesDone, 3u);
-    const SnapshotManifestEntry *capped =
-        findSnapshotEntry(*loaded, 7, 9, 0, 2);
-    ASSERT_NE(capped, nullptr);
-    EXPECT_EQ(capped->framesDone, 2u);
-    EXPECT_EQ(findSnapshotEntry(*loaded, 8, 9, 0, 10), nullptr);
-    EXPECT_EQ(findSnapshotEntry(*loaded, 7, 9, 1, 10), nullptr);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotManifest, SceneHashIsStable)
+TEST(SnapshotContainer, SceneHashIsStable)
 {
     // The scene hash keys snapshots across processes; it must be a
     // pure function of (benchmark, resolution).
@@ -333,41 +293,47 @@ TEST(SnapshotManifest, SceneHashIsStable)
     EXPECT_NE(a, snapshotSceneHash("CCS", 256, 64));
 }
 
-TEST(SnapshotManifest, EqualFreshnessTieBreaksOnPathDeterministically)
+TEST(SnapshotContainer, FileNameCarriesTheWholeKey)
 {
-    // Regression: two equally-fresh snapshots (same framesDone — e.g.
-    // written by concurrent sweeps into one directory) used to resolve
-    // by manifest enumeration order, so resume could restore different
-    // bytes depending on append order. The pinned total order is
-    // framesDone descending, then file path ascending.
-    SnapshotManifestEntry a;
-    a.configHash = 7;
-    a.sceneHash = 9;
-    a.codeVersion = kSnapshotCodeVersion;
-    a.firstFrame = 0;
-    a.framesDone = 2;
-    a.file = "snap_b.lsnp";
-    SnapshotManifestEntry b = a;
-    b.file = "snap_a.lsnp";
+    const std::string base = snapshotFileName(7, 9, 0, 2);
+    EXPECT_EQ(base, "ckpt_0000000000000007_0000000000000009_0_f2.lsnp");
+    EXPECT_NE(base, snapshotFileName(8, 9, 0, 2));
+    EXPECT_NE(base, snapshotFileName(7, 10, 0, 2));
+    EXPECT_NE(base, snapshotFileName(7, 9, 1, 2));
+    EXPECT_NE(base, snapshotFileName(7, 9, 0, 3));
+}
 
-    const std::vector<SnapshotManifestEntry> forward{a, b};
-    const std::vector<SnapshotManifestEntry> reversed{b, a};
-    const SnapshotManifestEntry *fwd =
-        findSnapshotEntry(forward, 7, 9, 0, 10);
-    const SnapshotManifestEntry *rev =
-        findSnapshotEntry(reversed, 7, 9, 0, 10);
-    ASSERT_NE(fwd, nullptr);
-    ASSERT_NE(rev, nullptr);
-    EXPECT_EQ(fwd->file, "snap_a.lsnp");
-    EXPECT_EQ(rev->file, "snap_a.lsnp");
+TEST(SnapshotContainer, AtomicWriteLeavesOnlyTheFinalFile)
+{
+    const std::string dir = scratchDir("atomic");
+    const std::string path = dir + "/" + snapshotFileName(1, 2, 0, 1);
+    EXPECT_EQ(readSnapshotFile(path).status().code(),
+              ErrorCode::NotFound);
 
-    // Freshness still dominates the path tie-break.
-    SnapshotManifestEntry fresher = a;
-    fresher.framesDone = 3;
-    fresher.file = "snap_z.lsnp";
-    const std::vector<SnapshotManifestEntry> mixed{a, fresher, b};
-    const SnapshotManifestEntry *best =
-        findSnapshotEntry(mixed, 7, 9, 0, 10);
-    ASSERT_NE(best, nullptr);
-    EXPECT_EQ(best->file, "snap_z.lsnp");
+    const std::vector<std::uint8_t> first(1000, 0xAB);
+    const std::vector<std::uint8_t> second(10, 0xCD);
+    ASSERT_TRUE(writeSnapshotFile(path, first).isOk());
+    ASSERT_TRUE(writeSnapshotFile(path, second).isOk()); // replace
+    Result<std::vector<std::uint8_t>> back = readSnapshotFile(path);
+    ASSERT_TRUE(back.isOk());
+    EXPECT_EQ(*back, second);
+
+    // A torn write (the kill@snapshot fault) leaves the published file
+    // alone and its half-written bytes only in a temp file.
+    tearSnapshotFile(path, first);
+    back = readSnapshotFile(path);
+    ASSERT_TRUE(back.isOk());
+    EXPECT_EQ(*back, second);
+    std::size_t files = 0, temps = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        ++files;
+        if (entry.path().filename().string().find(".tmp.")
+            != std::string::npos) {
+            ++temps;
+            EXPECT_EQ(entry.file_size(), first.size() / 2);
+        }
+    }
+    EXPECT_EQ(files, 2u);
+    EXPECT_EQ(temps, 1u);
+    std::filesystem::remove_all(dir);
 }

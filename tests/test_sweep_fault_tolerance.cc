@@ -2,22 +2,19 @@
  * @file
  * Fault-tolerant sweep execution (SweepRunner::runWithPolicy):
  * default-policy equivalence with run(), attributed failure messages,
- * transient-failure retries, wall-clock deadlines, quarantine, the
- * crash-safe journal with resume, and the kill-and-resume round trip
- * whose final report must be byte-identical to an uninterrupted run.
+ * transient-failure retries, wall-clock deadlines and quarantine. The
+ * checkpoint dir and its kill-and-resume round trip are covered in
+ * test_checkpoint.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "check/fault_injector.hh"
 #include "gpu/gpu_config.hh"
 #include "sim/sweep.hh"
-#include "sim/sweep_journal.hh"
-#include "trace/json.hh"
 #include "trace/run_report.hh"
 #include "workload/benchmarks.hh"
 
@@ -50,49 +47,6 @@ smallJobs(const BenchmarkSpec &ccs, std::size_t count = 3)
     return jobs;
 }
 
-/** Self-deleting temp path for journal files. */
-class JournalPath
-{
-  public:
-    explicit JournalPath(const char *tag)
-        : path_(std::string("/tmp/libra_journal_")
-                + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name()
-                + "_" + tag + ".jsonl")
-    {
-        std::remove(path_.c_str());
-    }
-    ~JournalPath() { std::remove(path_.c_str()); }
-    const std::string &str() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-/** Report-set document of a SweepOutcome, the way the benches build
- *  it: completed runs in order plus the failures section. */
-std::string
-outcomeReport(const std::vector<SweepJob> &jobs,
-              const SweepOutcome &outcome)
-{
-    std::vector<RunResult> runs;
-    std::vector<ReportFailure> failures;
-    for (std::size_t i = 0; i < outcome.jobs.size(); ++i) {
-        const JobOutcome &o = outcome.jobs[i];
-        if (o.result.isOk()) {
-            runs.push_back(*o.result);
-            continue;
-        }
-        const Status &st = o.result.status();
-        failures.push_back({i, sweepJobKey(jobs[i]),
-                            errorCodeName(st.code()),
-                            std::string(st.message()), o.attempts,
-                            o.quarantined, o.notRun});
-    }
-    return sweepReportJson(runs, failures);
-}
-
 } // namespace
 
 TEST(SweepPolicy, DefaultPolicyMatchesPlainRun)
@@ -108,13 +62,13 @@ TEST(SweepPolicy, DefaultPolicyMatchesPlainRun)
 
     ASSERT_EQ(plain.size(), policied.jobs.size());
     EXPECT_FALSE(policied.killed);
-    EXPECT_EQ(policied.replayedFromJournal, 0u);
+    EXPECT_EQ(policied.restoredWhole, 0u);
     EXPECT_EQ(policied.failureCount(), 0u);
     for (std::size_t i = 0; i < plain.size(); ++i) {
         ASSERT_TRUE(plain[i].isOk());
         ASSERT_TRUE(policied.jobs[i].result.isOk());
         EXPECT_EQ(policied.jobs[i].attempts, 1u);
-        EXPECT_FALSE(policied.jobs[i].fromJournal);
+        EXPECT_EQ(policied.jobs[i].framesRestored, 0u);
         // Byte-identical results, not merely statistically close.
         EXPECT_EQ(runReportJson(*plain[i]),
                   runReportJson(*policied.jobs[i].result));
@@ -245,250 +199,4 @@ TEST(SweepPolicy, QuarantineFastFailsRepeatOffenders)
 
     // An unrelated config is untouched by the quarantine.
     EXPECT_TRUE(out.jobs[2].result.isOk());
-}
-
-TEST(SweepJournalTest, RunResultJsonRoundTripIsExact)
-{
-    const BenchmarkSpec &ccs = findBenchmark("CCS");
-    GpuConfig cfg = smallConfig(GpuConfig::libra(2, 4));
-    cfg.captureImage = true; // exercise the image-hash path too
-    Result<RunResult> r = runBenchmark(ccs, cfg, 2);
-    ASSERT_TRUE(r.isOk()) << r.status().toString();
-
-    JsonWriter w1;
-    runResultToJson(w1, *r);
-    const std::string first = w1.str();
-
-    Result<JsonValue> parsed = parseJson(first);
-    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
-    Result<RunResult> back = runResultFromJson(*parsed);
-    ASSERT_TRUE(back.isOk()) << back.status().toString();
-
-    // Exact fidelity: serializing the deserialized result reproduces
-    // the document byte for byte (u64 counters, %.17g doubles, image
-    // hashes — nothing may lose precision through the journal).
-    JsonWriter w2;
-    runResultToJson(w2, *back);
-    EXPECT_EQ(first, w2.str());
-    EXPECT_EQ(r->counters, back->counters);
-    ASSERT_EQ(r->frames.size(), back->frames.size());
-    EXPECT_EQ(r->frames[1].totalCycles, back->frames[1].totalCycles);
-}
-
-TEST(SweepJournalTest, JournalWritesLoadAndResumeSkipsCompletedJobs)
-{
-    const BenchmarkSpec &ccs = findBenchmark("CCS");
-    const JournalPath journal("rt");
-
-    SweepPolicy policy;
-    policy.journalPath = journal.str();
-
-    SweepRunner pool(2);
-    SceneCache cache;
-    SweepOutcome first =
-        pool.runWithPolicy(smallJobs(ccs), policy, &cache);
-    ASSERT_EQ(first.failureCount(), 0u);
-
-    Result<std::vector<JournalRecord>> records =
-        SweepJournal::load(journal.str());
-    ASSERT_TRUE(records.isOk()) << records.status().toString();
-    ASSERT_EQ(records->size(), 3u);
-    for (const JournalRecord &rec : *records)
-        EXPECT_TRUE(rec.ok);
-
-    policy.resume = true;
-    SweepOutcome second =
-        pool.runWithPolicy(smallJobs(ccs), policy, &cache);
-    EXPECT_EQ(second.replayedFromJournal, 3u);
-    EXPECT_EQ(second.failureCount(), 0u);
-    for (std::size_t i = 0; i < second.jobs.size(); ++i) {
-        EXPECT_TRUE(second.jobs[i].fromJournal) << "job " << i;
-        ASSERT_TRUE(second.jobs[i].result.isOk());
-        EXPECT_EQ(runReportJson(*first.jobs[i].result),
-                  runReportJson(*second.jobs[i].result));
-    }
-}
-
-TEST(SweepJournalTest, MissingJournalLoadsEmpty)
-{
-    Result<std::vector<JournalRecord>> records =
-        SweepJournal::load("/tmp/libra_journal_does_not_exist.jsonl");
-    ASSERT_TRUE(records.isOk());
-    EXPECT_TRUE(records->empty());
-}
-
-TEST(SweepJournalTest, KillAndResumeReportIsByteIdentical)
-{
-    const BenchmarkSpec &ccs = findBenchmark("CCS");
-    const JournalPath journal("kill");
-
-    // Reference: the same sweep, never interrupted, no journal.
-    SweepRunner pool(1); // deterministic execution order for the kill
-    SceneCache cache;
-    const std::string reference = outcomeReport(
-        smallJobs(ccs),
-        pool.runWithPolicy(smallJobs(ccs), SweepPolicy{}, &cache));
-
-    // The "process" dies during the second journal append: one job is
-    // durable, the second append is torn, the third job never starts.
-    SweepPolicy dying;
-    dying.journalPath = journal.str();
-    Result<FaultPlan> plan = FaultPlan::parse("kill@append=2");
-    ASSERT_TRUE(plan.isOk());
-    dying.faults = *plan;
-
-    SweepOutcome crashed =
-        pool.runWithPolicy(smallJobs(ccs), dying, &cache);
-    EXPECT_TRUE(crashed.killed);
-    EXPECT_GE(crashed.failureCount(), 1u);
-    ASSERT_TRUE(crashed.jobs[0].result.isOk());
-    EXPECT_TRUE(crashed.jobs[2].notRun);
-
-    // The torn trailing line must not poison the load.
-    Result<std::vector<JournalRecord>> records =
-        SweepJournal::load(journal.str());
-    ASSERT_TRUE(records.isOk()) << records.status().toString();
-    ASSERT_EQ(records->size(), 1u);
-    EXPECT_TRUE(records->front().ok);
-
-    // Resume without faults: replay the survivor, run the rest, and
-    // the final report is byte-identical to the uninterrupted run.
-    SweepPolicy resuming;
-    resuming.journalPath = journal.str();
-    resuming.resume = true;
-    SweepOutcome resumed =
-        pool.runWithPolicy(smallJobs(ccs), resuming, &cache);
-    EXPECT_FALSE(resumed.killed);
-    EXPECT_EQ(resumed.replayedFromJournal, 1u);
-    EXPECT_EQ(resumed.failureCount(), 0u);
-    EXPECT_EQ(outcomeReport(smallJobs(ccs), resumed), reference);
-}
-
-TEST(SweepJournalTest, DuplicateEntriesForOneKeyReplayLastWriteWins)
-{
-    // A journal can hold several records for one job key: a re-run
-    // sweep appends again (the journal is append-only), and a crashed
-    // farm can leave a success followed by later re-executions. Replay
-    // must be deterministic: the LAST ok record for a key wins,
-    // regardless of what precedes it.
-    const BenchmarkSpec &ccs = findBenchmark("CCS");
-    const JournalPath journal("dup");
-
-    SweepPolicy policy;
-    policy.journalPath = journal.str();
-
-    SweepRunner pool(1);
-    SceneCache cache;
-    SweepOutcome first =
-        pool.runWithPolicy(smallJobs(ccs), policy, &cache);
-    ASSERT_EQ(first.failureCount(), 0u);
-
-    // Append a conflicting duplicate for job 0's key whose payload is
-    // distinguishable from the genuine result.
-    const std::string key0 = sweepJobKey(smallJobs(ccs)[0]);
-    {
-        Result<SweepJournal> j = SweepJournal::open(journal.str());
-        ASSERT_TRUE(j.isOk()) << j.status().toString();
-        JournalRecord dup;
-        dup.key = key0;
-        dup.ok = true;
-        dup.attempts = 7;
-        dup.result = *first.jobs[0].result;
-        dup.result.counters["journal.duplicate_marker"] = 1;
-        ASSERT_TRUE(j->append(dup).isOk());
-    }
-
-    policy.resume = true;
-    SweepOutcome resumed =
-        pool.runWithPolicy(smallJobs(ccs), policy, &cache);
-    EXPECT_EQ(resumed.replayedFromJournal, 3u);
-    ASSERT_TRUE(resumed.jobs[0].result.isOk());
-    EXPECT_TRUE(resumed.jobs[0].fromJournal);
-    // The later record — marker and all — is what replays.
-    EXPECT_EQ(resumed.jobs[0].result->counters.count(
-                  "journal.duplicate_marker"),
-              1u);
-    // Unrelated keys are untouched by the duplicate.
-    ASSERT_TRUE(resumed.jobs[1].result.isOk());
-    EXPECT_EQ(runReportJson(*first.jobs[1].result),
-              runReportJson(*resumed.jobs[1].result));
-}
-
-TEST(SweepJournalTest, FailureRecordAfterSuccessDoesNotMaskReplay)
-{
-    // Conflicting records of mixed outcome: a success followed by a
-    // later failure record for the same key (e.g. a re-run attempt that
-    // died). Failed records never mask a durable success — resume
-    // replays the ok record and the final report is byte-identical to
-    // an uninterrupted sweep.
-    const BenchmarkSpec &ccs = findBenchmark("CCS");
-    const JournalPath journal("conflict");
-
-    SweepRunner pool(1);
-    SceneCache cache;
-    const std::string reference = outcomeReport(
-        smallJobs(ccs),
-        pool.runWithPolicy(smallJobs(ccs), SweepPolicy{}, &cache));
-
-    SweepPolicy policy;
-    policy.journalPath = journal.str();
-    SweepOutcome first =
-        pool.runWithPolicy(smallJobs(ccs), policy, &cache);
-    ASSERT_EQ(first.failureCount(), 0u);
-
-    {
-        Result<SweepJournal> j = SweepJournal::open(journal.str());
-        ASSERT_TRUE(j.isOk()) << j.status().toString();
-        JournalRecord failed;
-        failed.key = sweepJobKey(smallJobs(ccs)[1]);
-        failed.ok = false;
-        failed.attempts = 1;
-        failed.code = ErrorCode::Unavailable;
-        failed.message = "fabricated post-success failure";
-        ASSERT_TRUE(j->append(failed).isOk());
-    }
-
-    SweepPolicy resuming;
-    resuming.journalPath = journal.str();
-    resuming.resume = true;
-    SweepOutcome resumed =
-        pool.runWithPolicy(smallJobs(ccs), resuming, &cache);
-    EXPECT_EQ(resumed.replayedFromJournal, 3u);
-    EXPECT_EQ(resumed.failureCount(), 0u);
-    EXPECT_EQ(outcomeReport(smallJobs(ccs), resumed), reference);
-}
-
-TEST(SweepJournalTest, DuplicateReplayIsByteIdenticalToCleanRun)
-{
-    // The acceptance bar for last-write-wins: duplicates of identical
-    // payload (the common append-twice case) replay to a report byte-
-    // identical to a sweep that never touched a journal.
-    const BenchmarkSpec &ccs = findBenchmark("CCS");
-    const JournalPath journal("dup2");
-
-    SweepRunner pool(1);
-    SceneCache cache;
-    const std::string reference = outcomeReport(
-        smallJobs(ccs),
-        pool.runWithPolicy(smallJobs(ccs), SweepPolicy{}, &cache));
-
-    SweepPolicy policy;
-    policy.journalPath = journal.str();
-    ASSERT_EQ(pool.runWithPolicy(smallJobs(ccs), policy, &cache)
-                  .failureCount(),
-              0u);
-    // Second run appends a full second copy of every record.
-    ASSERT_EQ(pool.runWithPolicy(smallJobs(ccs), policy, &cache)
-                  .failureCount(),
-              0u);
-    Result<std::vector<JournalRecord>> records =
-        SweepJournal::load(journal.str());
-    ASSERT_TRUE(records.isOk());
-    EXPECT_EQ(records->size(), 6u); // 3 jobs x 2 appends
-
-    policy.resume = true;
-    SweepOutcome resumed =
-        pool.runWithPolicy(smallJobs(ccs), policy, &cache);
-    EXPECT_EQ(resumed.replayedFromJournal, 3u);
-    EXPECT_EQ(outcomeReport(smallJobs(ccs), resumed), reference);
 }

@@ -146,8 +146,9 @@ TEST(TraceCorruption, ByteFlipAtEveryHeaderOffsetNeverCrashes)
             EXPECT_EQ(st.code(), ErrorCode::CorruptData)
                 << "offset " << at;
         }
-        if (!st.isOk())
+        if (!st.isOk()) {
             EXPECT_EQ(trace.frameCount(), 0u) << "offset " << at;
+        }
     }
 }
 
