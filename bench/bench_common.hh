@@ -193,8 +193,8 @@ outPath(const BenchOptions &opt, const std::string &filename)
     return (std::filesystem::path(opt.outdir) / filename).string();
 }
 
-/** Apply the bench's screen size, simulation engine and --policy
- *  override to a config. */
+/** Apply the bench's screen size and --policy override to a
+ *  config. */
 inline GpuConfig
 sized(GpuConfig cfg, const BenchOptions &opt)
 {

@@ -118,25 +118,53 @@ BM_DramRandomAccess(benchmark::State &state)
 }
 BENCHMARK(BM_DramRandomAccess);
 
+/**
+ * One primitive rasterized into one 32x32 tile, setup included:
+ * Arg 0 a right triangle over half the tile (a diagonal edge through
+ * every block row), 1 a one-pixel-wide diagonal sliver (nearly every
+ * block undecided by the pre-cull), 2 a triangle covering the whole
+ * tile (every block accepted whole).
+ */
 void
 BM_RasterizeTile(benchmark::State &state)
 {
     TexturePool pool;
     const Texture &tex = pool.create(256, 256);
     Triangle tri;
-    tri.v[0] = {{0, 0, 0.2f}, {0.0f, 0.0f}};
-    tri.v[1] = {{32, 0, 0.5f}, {1.0f, 0.0f}};
-    tri.v[2] = {{0, 32, 0.8f}, {0.0f, 1.0f}};
+    switch (state.range(0)) {
+      case 0:
+        tri.v[0] = {{0, 0, 0.2f}, {0.0f, 0.0f}};
+        tri.v[1] = {{32, 0, 0.5f}, {1.0f, 0.0f}};
+        tri.v[2] = {{0, 32, 0.8f}, {0.0f, 1.0f}};
+        break;
+      case 1:
+        tri.v[0] = {{0, 0.5f, 0.2f}, {0.0f, 0.0f}};
+        tri.v[1] = {{32, 31.5f, 0.5f}, {1.0f, 0.0f}};
+        tri.v[2] = {{0, 1.5f, 0.8f}, {0.0f, 1.0f}};
+        break;
+      default:
+        tri.v[0] = {{-8, -8, 0.2f}, {0.0f, 0.0f}};
+        tri.v[1] = {{80, -8, 0.5f}, {1.0f, 0.0f}};
+        tri.v[2] = {{-8, 80, 0.8f}, {0.0f, 1.0f}};
+        break;
+    }
     const IRect rect{0, 0, 32, 32};
+    RasterOutput out;
+    std::uint64_t quads = 0;
     for (auto _ : state) {
         const TriangleSetup setup(tri, tex);
-        RasterOutput out;
+        out.quads.clear();
         setup.rasterize(rect, out);
-        benchmark::DoNotOptimize(out.quads.size());
+        quads += out.quads.size();
+        benchmark::DoNotOptimize(out.quads.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(static_cast<std::int64_t>(quads));
+    state.SetLabel(state.range(0) == 0   ? "half"
+                   : state.range(0) == 1 ? "diagonal sliver"
+                                         : "full tile");
 }
-BENCHMARK(BM_RasterizeTile);
+BENCHMARK(BM_RasterizeTile)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_BinFrame(benchmark::State &state)

@@ -5,7 +5,12 @@
 #include <bit>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <limits>
+#include <signal.h>
+#include <string_view>
 #include <unistd.h>
 
 #include "common/log.hh"
@@ -407,11 +412,46 @@ snapshotSceneHash(const std::string &abbrev, std::uint32_t width,
 
 std::string
 snapshotFileName(std::uint64_t config_hash, std::uint64_t scene_hash,
-                 std::uint32_t first_frame, std::uint32_t frames_done)
+                 std::uint32_t first_frame, std::uint32_t frames_done,
+                 bool traced)
 {
     return "ckpt_" + hex16(config_hash) + "_" + hex16(scene_hash) + "_"
            + std::to_string(first_frame) + "_f"
-           + std::to_string(frames_done) + ".lsnp";
+           + std::to_string(frames_done) + (traced ? "_traced" : "")
+           + ".lsnp";
+}
+
+std::size_t
+removeDeadWritersTempFiles(const std::string &dir)
+{
+    static constexpr std::string_view kTempTag = ".lsnp.tmp.";
+    std::size_t removed = 0;
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        const std::size_t tag = name.rfind(kTempTag);
+        if (tag == std::string::npos)
+            continue;
+        // "<pid>.<n>" after the tag, both decimal.
+        const char *p = name.c_str() + tag + kTempTag.size();
+        char *end = nullptr;
+        errno = 0;
+        const long long pid = std::strtoll(p, &end, 10);
+        if (end == p || *end != '.' || errno == ERANGE || pid <= 0
+            || pid > std::numeric_limits<pid_t>::max()
+            || pid == ::getpid())
+            continue;
+        const char *serial = end + 1;
+        if (*serial == '\0'
+            || std::strspn(serial, "0123456789") != std::strlen(serial))
+            continue;
+        if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH)
+            continue;
+        std::error_code rm_ec;
+        if (std::filesystem::remove(entry.path(), rm_ec))
+            ++removed;
+    }
+    return removed;
 }
 
 Status

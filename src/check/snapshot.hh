@@ -190,20 +190,36 @@ std::uint64_t snapshotSceneHash(const std::string &abbrev,
 /**
  * Canonical checkpoint file name inside a --checkpoint-dir:
  * `ckpt_<config>_<scene>_<first>_f<done>.lsnp`, hashes as 16 hex
- * digits. The name carries the whole restore key, so a lookup is a
- * direct open and jobs differing in any key field never share a file.
+ * digits, with `_traced` before the extension for a run that records
+ * an event trace (its snapshot carries the trace, an untraced one does
+ * not, so neither can restore the other). The name carries the whole
+ * restore key, so a lookup is a direct open and jobs differing in any
+ * key field never share a file.
  */
 std::string snapshotFileName(std::uint64_t config_hash,
                              std::uint64_t scene_hash,
                              std::uint32_t first_frame,
-                             std::uint32_t frames_done);
+                             std::uint32_t frames_done,
+                             bool traced = false);
+
+/**
+ * Delete the temp files that dead writers left in checkpoint dir
+ * @p dir: `*.lsnp.tmp.<pid>.<n>` where `<pid>` is not this process and
+ * `kill(pid, 0)` fails with ESRCH. A live writer's temp file (this
+ * process's or another's) is never touched. The dir is taken to be
+ * local to this host, where its writers' pids are meaningful. @return
+ * the number of files deleted.
+ */
+std::size_t removeDeadWritersTempFiles(const std::string &dir);
 
 /**
  * Crash-safe write of a snapshot byte image: a process-unique temp
- * file next to @p path, fflush + fsync, then rename onto @p path. A
- * reader therefore sees the old file, the complete new one or nothing,
- * never a torn image; a crash leaves at most a stray `*.tmp.*` file,
- * which no lookup opens. IoError on OS failure.
+ * file (`<path>.tmp.<pid>.<n>`) next to @p path, fflush + fsync, then
+ * rename onto @p path. A reader therefore sees the old file, the
+ * complete new one or nothing, never a torn image; a crash leaves at
+ * most a stray temp file, which no lookup opens and the next run
+ * against the dir deletes (removeDeadWritersTempFiles). IoError on OS
+ * failure.
  */
 Status writeSnapshotFile(const std::string &path,
                          const std::vector<std::uint8_t> &bytes);

@@ -18,6 +18,7 @@ void
 BlendUnit::beginTile(const IRect &tile_rect)
 {
     rect = tile_rect;
+    readyAt = 0;
     std::fill(color.begin(), color.end(), 0);
 }
 
@@ -31,13 +32,14 @@ BlendUnit::acceptQuads(Tick ready, std::uint32_t quads)
 }
 
 void
-BlendUnit::blendQuad(const Quad &quad, std::uint32_t prim_id)
+BlendUnit::blendQuad(std::int32_t quad_x, std::int32_t quad_y,
+                     std::uint8_t mask, std::uint32_t prim_id)
 {
     for (int bit = 0; bit < 4; ++bit) {
-        if (!(quad.mask & (1 << bit)))
+        if (!(mask & (1 << bit)))
             continue;
-        const std::int32_t px = quad.px + (bit & 1);
-        const std::int32_t py = quad.py + (bit >> 1);
+        const std::int32_t px = quad_x + (bit & 1);
+        const std::int32_t py = quad_y + (bit >> 1);
         libra_assert(rect.contains(px, py),
                      "blended fragment outside the current tile");
         const std::size_t idx =

@@ -18,7 +18,6 @@
 #include "common/geom.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "gpu/raster/rasterizer.hh"
 
 namespace libra
 {
@@ -29,7 +28,8 @@ class BlendUnit
   public:
     BlendUnit(std::uint32_t tile_size, std::uint32_t quads_per_cycle);
 
-    /** Start a new tile at @p rect; clears the color buffer. */
+    /** Start a new tile at @p rect; clears the color buffer and the
+     *  throughput clock. */
     void beginTile(const IRect &rect);
 
     /**
@@ -38,8 +38,10 @@ class BlendUnit
      */
     Tick acceptQuads(Tick ready, std::uint32_t quads);
 
-    /** Functionally blend a quad into the hash image. */
-    void blendQuad(const Quad &quad, std::uint32_t prim_id);
+    /** Functionally blend the fragments of the quad at (@p quad_x,
+     *  @p quad_y) with coverage @p mask into the hash image. */
+    void blendQuad(std::int32_t quad_x, std::int32_t quad_y,
+                   std::uint8_t mask, std::uint32_t prim_id);
 
     /** Color-buffer contents for the current tile (pixel hashes). */
     const std::vector<std::uint64_t> &colorBuffer() const { return color; }

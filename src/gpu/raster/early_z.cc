@@ -21,33 +21,4 @@ EarlyZ::beginTile(const IRect &tile_rect)
     std::fill(depth.begin(), depth.end(), 1.0f);
 }
 
-std::uint8_t
-EarlyZ::testQuad(Quad &quad, bool write_depth)
-{
-    ++quadsTested;
-    std::uint8_t surviving = 0;
-    for (int bit = 0; bit < 4; ++bit) {
-        if (!(quad.mask & (1 << bit)))
-            continue;
-        const std::int32_t px = quad.px + (bit & 1);
-        const std::int32_t py = quad.py + (bit >> 1);
-        libra_assert(rect.contains(px, py),
-                     "covered fragment outside the current tile");
-        const std::size_t idx =
-            static_cast<std::size_t>(py - rect.y0) * tileSize
-            + static_cast<std::size_t>(px - rect.x0);
-        if (quad.z[bit] < depth[idx]) {
-            surviving |= static_cast<std::uint8_t>(1 << bit);
-            if (write_depth)
-                depth[idx] = quad.z[bit];
-        } else {
-            ++fragmentsKilled;
-        }
-    }
-    if (surviving == 0)
-        ++quadsKilled;
-    quad.mask = surviving;
-    return surviving;
-}
-
 } // namespace libra

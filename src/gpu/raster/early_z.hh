@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/geom.hh"
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "gpu/raster/rasterizer.hh"
 
@@ -36,7 +37,35 @@ class EarlyZ
      * fragments and, when @p write_depth, updates the buffer for the
      * survivors. @return the surviving coverage mask.
      */
-    std::uint8_t testQuad(Quad &quad, bool write_depth);
+    std::uint8_t
+    testQuad(Quad &quad, bool write_depth)
+    {
+        // Inline: the raster front calls it once per rasterized quad.
+        ++quadsTested;
+        std::uint8_t surviving = 0;
+        for (int bit = 0; bit < 4; ++bit) {
+            if (!(quad.mask & (1 << bit)))
+                continue;
+            const std::int32_t px = quad.px + (bit & 1);
+            const std::int32_t py = quad.py + (bit >> 1);
+            libra_assert(rect.contains(px, py),
+                         "covered fragment outside the current tile");
+            float &stored =
+                depth[static_cast<std::size_t>(py - rect.y0) * tileSize
+                      + static_cast<std::size_t>(px - rect.x0)];
+            if (quad.z[bit] < stored) {
+                surviving |= static_cast<std::uint8_t>(1 << bit);
+                if (write_depth)
+                    stored = quad.z[bit];
+            } else {
+                ++fragmentsKilled;
+            }
+        }
+        if (surviving == 0)
+            ++quadsKilled;
+        quad.mask = surviving;
+        return surviving;
+    }
 
     Counter quadsTested;
     Counter quadsKilled;     //!< fully occluded quads

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "check/snapshot.hh"
@@ -193,18 +194,15 @@ RasterUnit::processWork(const RasterWork &work)
     const Tick now = queue.now();
     switch (work.kind) {
       case RasterWork::Kind::TileBegin: {
-        auto ctx = std::make_unique<TileCtx>(config.tileSize,
-                                             config.blendQuadsPerCycle);
-        ctx->tile = work.tile;
-        ctx->rect = grid.tileRect(work.tile);
-        ctx->zbuf.beginTile(ctx->rect);
-        ctx->blender.beginTile(ctx->rect);
+        TileCtx *ctx = tileCtxs.acquire(config.tileSize,
+                                        config.blendQuadsPerCycle);
+        ctx->begin(work.tile, grid.tileRect(work.tile));
         LIBRA_TRACE_ASYNC_BEGIN(traceLane, traceTileName, work.tile,
                                 now);
         if (!frag)
-            frag = std::move(ctx);
+            frag = ctx;
         else
-            ahead = std::move(ctx);
+            ahead = ctx;
         frontReadyAt = now + 1;
         break;
       }
@@ -244,13 +242,18 @@ RasterUnit::rasterizePrim(std::uint32_t prim_index)
     ++primsRasterized;
 
     // Early-Z: opaque primitives write depth, blended ones only test.
-    std::vector<Quad> &survivors = survivorScratch;
-    survivors.clear();
-    for (Quad &quad : out.quads) {
-        if (ctx->zbuf.testQuad(quad, !tri.blend) != 0)
-            survivors.push_back(quad);
+    // Survivors are compacted to the front of the scratch output. Each
+    // is copied into its slot before the test writes its mask, so the
+    // copy never waits on that store.
+    std::size_t survivors = 0;
+    for (std::size_t i = 0; i < out.quads.size(); ++i) {
+        Quad &slot = out.quads[survivors];
+        if (i != survivors)
+            slot = out.quads[i];
+        if (ctx->zbuf.testQuad(slot, !tri.blend) != 0)
+            ++survivors;
     }
-    quadsProduced += survivors.size();
+    quadsProduced += survivors;
 
     // Front-end occupancy: block scan rate plus Early-Z rate.
     const Tick raster_cycles = std::max<Tick>(
@@ -261,37 +264,13 @@ RasterUnit::rasterizePrim(std::uint32_t prim_index)
 
     // Assemble surviving quads into warps (one primitive per warp,
     // uniform shader state).
-    std::size_t i = 0;
-    while (i < survivors.size()) {
-        const std::size_t n =
-            std::min<std::size_t>(config.warpQuads, survivors.size() - i);
-        std::vector<Quad> group(survivors.begin()
-                                    + static_cast<std::ptrdiff_t>(i),
-                                survivors.begin()
-                                    + static_cast<std::ptrdiff_t>(i + n));
-        emitWarp(*ctx, tri, prim_index, std::move(group));
+    for (std::size_t i = 0; i < survivors;) {
+        const auto n = static_cast<std::uint32_t>(
+            std::min<std::size_t>(config.warpQuads, survivors - i));
+        emitWarp(*ctx, tri, prim_index, &out.quads[i], n);
         i += n;
     }
 }
-
-namespace
-{
-
-/**
- * Snapshot of one tile flush in progress. Shared by the flush events so
- * each captures only {this, fin} — inside the inline capacity of
- * EventCallback/MemCallback.
- */
-struct PendingFlush
-{
-    TileDoneInfo done;
-    std::shared_ptr<std::vector<std::uint64_t>> color;
-    Addr fbAddr = 0;
-    std::uint32_t bytes = 0;
-    TileId tile = 0;
-};
-
-} // namespace
 
 std::uint64_t
 primContentHash(const Triangle &tri)
@@ -312,17 +291,37 @@ primContentHash(const Triangle &tri)
 }
 
 void
+RasterUnit::TileCtx::begin(TileId id, const IRect &r)
+{
+    tile = id;
+    rect = r;
+    endSeen = false;
+    completing = false;
+    instructions = 0;
+    fragments = 0;
+    signature = 0;
+    lastBlendDone = 0;
+    zbuf.beginTile(r);
+    blender.beginTile(r);
+    retired.clear();
+}
+
+void
 RasterUnit::emitWarp(TileCtx &ctx, const Triangle &tri,
-                     std::uint32_t prim_index, std::vector<Quad> quads)
+                     std::uint32_t prim_index, const Quad *quads,
+                     std::uint32_t quad_count)
 {
     const Texture &tex = texPool->get(tri.textureId);
 
     WarpTask task;
     task.tile = ctx.tile;
-    task.quadCount = static_cast<std::uint32_t>(quads.size());
+    task.quadCount = quad_count;
     task.aluOps = tri.shaderAluOps;
     task.blend = tri.blend;
-    for (const Quad &quad : quads) {
+    task.texLines.reserve(std::size_t(quad_count) * tri.texSamples);
+    const std::uint64_t first_quad = quadRing.tailIndex();
+    for (const Quad &quad : std::span(quads, quad_count)) {
+        quadRing.push_back(CoveredQuad{quad.px, quad.py, quad.mask});
         task.fragments += static_cast<std::uint32_t>(quad.coveredCount());
         for (std::uint8_t s = 0; s < tri.texSamples; ++s) {
             // Sample 0 reads the interpolated uv; additional samples
@@ -337,17 +336,16 @@ RasterUnit::emitWarp(TileCtx &ctx, const Triangle &tri,
     task.instructions = static_cast<std::uint64_t>(task.aluOps)
         + task.texLines.size() + ShaderCore::tailOps;
 
-    PendingWarp pending;
-    pending.ctx = &ctx;
-    pending.seq = ctx.nextSeq++;
-    pending.primId = prim_index;
-    pending.primSig = config.transactionElimination
+    TileCtx::RetiredWarp record;
+    record.firstQuad = first_quad;
+    record.quadCount = quad_count;
+    record.primId = prim_index;
+    record.primSig = config.transactionElimination
         ? primContentHash(tri)
         : 0;
-    pending.task = std::move(task);
-    pending.quads = std::move(quads);
-    ++ctx.warps;
-    pendingWarps.push_back(std::move(pending));
+    const auto seq = static_cast<std::uint32_t>(
+        ctx.retired.push_back(record));
+    pendingWarps.push_back(PendingWarp{&ctx, seq, std::move(task)});
     dispatchPending();
 }
 
@@ -357,7 +355,7 @@ RasterUnit::dispatchPending()
     bool dispatched = false;
     while (!pendingWarps.empty()) {
         PendingWarp &head = pendingWarps.front();
-        if (head.ctx != frag.get())
+        if (head.ctx != frag)
             break; // fragment-stage barrier (paper §III-A)
 
         // Prefer a screen-space-banded core assignment: quads from the
@@ -366,13 +364,12 @@ RasterUnit::dispatchPending()
         // GPUs use static screen-space interleaving for the same
         // reason. Fall back to any free core to keep the load balanced.
         ShaderCore *target = nullptr;
-        if (!head.quads.empty()) {
-            const std::uint32_t band = head.quads.front().py / 4;
-            ShaderCore *preferred =
-                cores[band % cores.size()].get();
-            if (preferred->hasFreeSlot())
-                target = preferred;
-        }
+        const std::uint64_t first_quad =
+            head.ctx->retired[head.seq].firstQuad;
+        const std::uint32_t band = quadRing[first_quad].py / 4;
+        ShaderCore *preferred = cores[band % cores.size()].get();
+        if (preferred->hasFreeSlot())
+            target = preferred;
         if (!target) {
             for (std::uint32_t i = 0; i < cores.size(); ++i) {
                 ShaderCore *candidate =
@@ -388,24 +385,17 @@ RasterUnit::dispatchPending()
         if (!target)
             break; // resumed on warp retire
 
-        PendingWarp pending = std::move(pendingWarps.front());
-        pendingWarps.pop_front();
         ++warpsLaunched;
-        TileCtx *ctx = pending.ctx;
-        const std::uint32_t seq = pending.seq;
-        const std::uint32_t prim_id = pending.primId;
-        const std::uint64_t prim_sig = pending.primSig;
-        // The quad vector rides inside the retire callback's inline
-        // capture (the whole capture is 56 of WarpRetireCallback's 64
-        // bytes) — no shared_ptr block per warp.
-        target->dispatch(
-            std::move(pending.task),
-            [this, ctx, seq, prim_id, prim_sig,
-             quads = std::move(pending.quads)](
-                const WarpRetireInfo &info) mutable {
-                onWarpRetired(ctx, seq, prim_id, prim_sig,
-                              std::move(quads), info);
-            });
+        TileCtx *ctx = head.ctx;
+        const std::uint32_t seq = head.seq;
+        WarpTask task = std::move(head.task);
+        pendingWarps.pop_front();
+        // The quads stay in the ring and the warp's identity in its
+        // commit record, so the retire continuation captures 24 bytes.
+        target->dispatch(std::move(task),
+                         [this, ctx, seq](const WarpRetireInfo &info) {
+                             onWarpRetired(ctx, seq, info);
+                         });
         dispatched = true;
     }
     if (dispatched)
@@ -415,19 +405,19 @@ RasterUnit::dispatchPending()
 
 void
 RasterUnit::onWarpRetired(TileCtx *ctx, std::uint32_t seq,
-                          std::uint32_t prim_id, std::uint64_t prim_sig,
-                          std::vector<Quad> quads,
                           const WarpRetireInfo &info)
 {
-    libra_assert(frag && ctx == frag.get(),
+    libra_assert(frag && ctx == frag,
                  "warp retired for a non-fragment-stage tile");
     texLatencySum += info.texLatencySum;
     texRequests += info.texRequests;
     fragmentsShaded += info.fragments;
 
-    ctx->retired.emplace(seq,
-                         TileCtx::RetiredWarp{info, std::move(quads),
-                                              prim_id, prim_sig});
+    TileCtx::RetiredWarp &record = ctx->retired[seq];
+    record.shadedAt = info.shadedAt;
+    record.instructions = info.instructions;
+    record.fragments = info.fragments;
+    record.ready = true;
     commitReadyWarps(*ctx);
     dispatchPending();
     maybeCompleteTile();
@@ -439,21 +429,24 @@ RasterUnit::commitReadyWarps(TileCtx &ctx)
     // Blending commits strictly in warp-assembly (program) order, as a
     // real ROP reorder queue does — overlapping primitives must blend
     // in submission order for the output to be schedule-independent.
-    auto it = ctx.retired.find(ctx.nextCommit);
-    while (it != ctx.retired.end()) {
-        const TileCtx::RetiredWarp &rw = it->second;
-        const Tick ready = std::max(queue.now(), rw.info.shadedAt);
+    while (!ctx.retired.empty() && ctx.retired.front().ready) {
+        const TileCtx::RetiredWarp &rw = ctx.retired.front();
+        const std::uint64_t quads_end = rw.firstQuad + rw.quadCount;
+        libra_assert(rw.firstQuad == quadRing.headIndex(),
+                     "warp commit out of assembly order");
+        const Tick ready = std::max(queue.now(), rw.shadedAt);
         const Tick blend_done =
-            ctx.blender.acceptQuads(ready, rw.info.quadCount);
+            ctx.blender.acceptQuads(ready, rw.quadCount);
         ctx.lastBlendDone = std::max(ctx.lastBlendDone, blend_done);
-        ctx.instructions += rw.info.instructions;
-        ctx.fragments += rw.info.fragments;
+        ctx.instructions += rw.instructions;
+        ctx.fragments += rw.fragments;
         if (config.transactionElimination) {
             // Order-sensitive content hash over frame-independent
             // primitive signatures: identical primitive streams with
             // identical coverage produce identical tile contents.
             ctx.signature = hashCombine(ctx.signature, rw.primSig);
-            for (const Quad &quad : rw.quads) {
+            for (std::uint64_t q = rw.firstQuad; q < quads_end; ++q) {
+                const CoveredQuad &quad = quadRing[q];
                 ctx.signature = hashCombine(
                     ctx.signature,
                     (static_cast<std::uint64_t>(quad.px) << 17)
@@ -462,23 +455,23 @@ RasterUnit::commitReadyWarps(TileCtx &ctx)
             }
         }
         if (config.captureImage) {
-            for (const Quad &quad : rw.quads)
-                ctx.blender.blendQuad(quad, rw.primId);
+            for (std::uint64_t q = rw.firstQuad; q < quads_end; ++q) {
+                const CoveredQuad &quad = quadRing[q];
+                ctx.blender.blendQuad(quad.px, quad.py, quad.mask,
+                                      rw.primId);
+            }
         }
-        ctx.retired.erase(it);
-        ++ctx.nextCommit;
-        it = ctx.retired.find(ctx.nextCommit);
+        quadRing.pop_front(rw.quadCount);
+        ctx.retired.pop_front();
     }
 }
 
 void
 RasterUnit::maybeCompleteTile()
 {
-    TileCtx *ctx = frag.get();
-    if (!ctx || ctx->completing || !ctx->endSeen
-        || ctx->nextCommit != ctx->nextSeq) {
+    TileCtx *ctx = frag;
+    if (!ctx || ctx->completing || !ctx->endSeen || !ctx->retired.empty())
         return;
-    }
     // All warps of the fragment-stage tile have committed.
     ctx->completing = true;
     const Tick done = std::max(queue.now(), ctx->lastBlendDone);
@@ -494,8 +487,9 @@ RasterUnit::startFlush()
     // Snapshot everything the flush and the done-callback need, then
     // free the Fragment stage for the run-ahead tile (double-buffered
     // color buffer).
-    auto ctx = std::move(frag);
-    frag = std::move(ahead);
+    TileCtx *ctx = frag;
+    frag = ahead;
+    ahead = nullptr;
 
     const Tick now = queue.now();
     const IRect rect = ctx->rect;
@@ -519,50 +513,34 @@ RasterUnit::startFlush()
     flushBytes += elide ? 0 : bytes;
     ++tilesRendered;
 
-    auto fin = std::make_shared<PendingFlush>();
-    fin->color = config.captureImage
-        ? std::make_shared<std::vector<std::uint64_t>>(
-              ctx->blender.colorBuffer())
-        : nullptr;
+    PendingFlush *fin = flushes.acquire();
+    fin->done = TileDoneInfo{};
     fin->done.tile = tile;
     fin->done.instructions = ctx->instructions;
-    fin->done.warps = ctx->warps;
+    fin->done.warps = ctx->retired.tailIndex();
     fin->done.fragments = ctx->fragments;
     fin->done.signature = ctx->signature;
     fin->done.flushElided = elide;
     fin->done.rect = rect;
+    if (config.captureImage) {
+        fin->color = ctx->blender.colorBuffer();
+        fin->done.colorBuffer = &fin->color;
+    }
     fin->bytes = bytes;
-    fin->tile = tile;
     fin->fbAddr = addr_map::frameBufferBase
         + static_cast<Addr>(tile) * config.tileSize * config.tileSize * 4;
+    tileCtxs.release(ctx);
 
     if (elide) {
         ++flushesElided;
-        queue.schedule(start, [this, fin] {
-            TileDoneInfo info = fin->done;
-            info.flushedAt = queue.now();
-            info.colorBuffer = fin->color ? fin->color.get() : nullptr;
-            LIBRA_TRACE_ASYNC_END(traceLane, traceTileName, fin->tile,
-                                  info.flushedAt);
-            if (onTileDone)
-                onTileDone(info);
-            updatePhase();
-        });
+        queue.schedule(start,
+                       [this, fin] { finishFlush(fin, queue.now()); });
     } else {
         queue.schedule(start, [this, fin] {
             fbSink.access(MemReq{
                 fin->fbAddr, fin->bytes, true, TrafficClass::FrameBuffer,
-                fin->tile, [this, fin](Tick when) {
-                    TileDoneInfo info = fin->done;
-                    info.flushedAt = when;
-                    info.colorBuffer =
-                        fin->color ? fin->color.get() : nullptr;
-                    LIBRA_TRACE_ASYNC_END(traceLane, traceTileName,
-                                          fin->tile, when);
-                    if (onTileDone)
-                        onTileDone(info);
-                    updatePhase();
-                }});
+                fin->done.tile,
+                [this, fin](Tick when) { finishFlush(fin, when); }});
         });
     }
 
@@ -571,6 +549,18 @@ RasterUnit::startFlush()
     dispatchPending();
     maybeCompleteTile(); // the promoted tile may already be finished
     tryAdvance();
+}
+
+void
+RasterUnit::finishFlush(PendingFlush *fin, Tick when)
+{
+    TileDoneInfo info = fin->done;
+    info.flushedAt = when;
+    LIBRA_TRACE_ASYNC_END(traceLane, traceTileName, info.tile, when);
+    if (onTileDone)
+        onTileDone(info);
+    updatePhase();
+    flushes.release(fin);
 }
 
 void

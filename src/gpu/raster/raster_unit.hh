@@ -23,14 +23,14 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "gpu/raster/blend_unit.hh"
@@ -319,47 +319,90 @@ class RasterUnit : public RasterSink
     }
 
   private:
-    /** All state for one tile being processed. */
+    /** Objects created on demand and recycled through a free list, so
+     *  a reused one keeps its buffers; none is freed before the pool. */
+    template <class T>
+    struct Pool
+    {
+        std::vector<std::unique_ptr<T>> all;
+        std::vector<T *> free;
+
+        template <class... Args>
+        T *
+        acquire(Args &&...args)
+        {
+            if (free.empty()) {
+                all.push_back(
+                    std::make_unique<T>(std::forward<Args>(args)...));
+                return all.back().get();
+            }
+            T *obj = free.back();
+            free.pop_back();
+            return obj;
+        }
+
+        void release(T *obj) { free.push_back(obj); }
+    };
+
+    /** All state for one tile, from its TileBegin until its flush
+     *  starts. Pooled: a later TileBegin reuses a finished context. */
     struct TileCtx
     {
         TileCtx(std::uint32_t tile_size, std::uint32_t blend_rate)
             : zbuf(tile_size), blender(tile_size, blend_rate)
         {}
 
+        /** Reset for tile @p id at @p r: cleared Z and color buffers,
+         *  blend clock and counters, no warps. */
+        void begin(TileId id, const IRect &r);
+
         TileId tile = 0;
         IRect rect;
         bool endSeen = false;
         bool completing = false;      //!< completion event scheduled
-        std::uint32_t nextSeq = 0;    //!< warps assembled so far
-        std::uint32_t nextCommit = 0; //!< warps blended so far
         std::uint64_t instructions = 0;
         std::uint64_t fragments = 0;
-        std::uint64_t warps = 0;
         std::uint64_t signature = 0; //!< order-sensitive content hash
         Tick lastBlendDone = 0;
         EarlyZ zbuf;
         BlendUnit blender;
 
-        /** Retired warps waiting for in-order blend commit. */
+        /** Blend-commit record of one assembled warp: its quads and
+         *  primitive from assembly, its shading results from retire. */
         struct RetiredWarp
         {
-            WarpRetireInfo info;
-            std::vector<Quad> quads;
-            std::uint32_t primId;
-            std::uint64_t primSig;
+            std::uint64_t firstQuad = 0; //!< index into the quad ring
+            std::uint64_t primSig = 0;
+            std::uint32_t quadCount = 0;
+            std::uint32_t primId = 0;
+            Tick shadedAt = 0;
+            std::uint64_t instructions = 0;
+            std::uint32_t fragments = 0;
+            bool ready = false; //!< the warp has retired
         };
-        std::map<std::uint32_t, RetiredWarp> retired;
+        /** One record per warp assembled and not yet committed, indexed
+         *  by the warp's seq (assembly order in the tile): headIndex()
+         *  is the next warp to commit, tailIndex() the warps so far. */
+        Ring<RetiredWarp> retired;
     };
 
-    /** A warp assembled but not yet dispatched to a core. */
+    /** A tile flush in flight: what the done-callback needs once the
+     *  tile's context is back in its pool. */
+    struct PendingFlush
+    {
+        TileDoneInfo done;
+        std::vector<std::uint64_t> color; //!< captureImage only
+        Addr fbAddr = 0;
+        std::uint32_t bytes = 0;
+    };
+
+    /** A warp assembled but not yet dispatched to a core; its quads
+     *  are named by its commit record, ctx->retired[seq]. */
     struct PendingWarp
     {
-        TileCtx *ctx;
-        std::uint32_t seq;
-        std::uint32_t primId;
-        std::uint64_t primSig; //!< content hash (frame-independent)
+        TileCtx *ctx = nullptr;
+        std::uint32_t seq = 0;
         WarpTask task;
-        std::vector<Quad> quads;
     };
 
     /** The phase the unit is in at @p now (see RuPhase priorities). */
@@ -371,19 +414,22 @@ class RasterUnit : public RasterSink
     void tryAdvance();
     void processWork(const RasterWork &work);
     void rasterizePrim(std::uint32_t prim_index);
+    /** Assemble @p quad_count surviving quads from @p quads into one
+     *  warp; their coverage moves to the quad ring. */
     void emitWarp(TileCtx &ctx, const Triangle &tri,
-                  std::uint32_t prim_index, std::vector<Quad> quads);
+                  std::uint32_t prim_index, const Quad *quads,
+                  std::uint32_t quad_count);
     void dispatchPending();
     void onWarpRetired(TileCtx *ctx, std::uint32_t seq,
-                       std::uint32_t prim_id, std::uint64_t prim_sig,
-                       std::vector<Quad> quads,
                        const WarpRetireInfo &info);
     void commitReadyWarps(TileCtx &ctx);
     void maybeCompleteTile();
     void startFlush();
+    /** Report a flushed tile and return its record to the pool. */
+    void finishFlush(PendingFlush *fin, Tick when);
 
     /** Tile ctx the rasterizer front currently fills. */
-    TileCtx *rasterCtx() { return ahead ? ahead.get() : frag.get(); }
+    TileCtx *rasterCtx() { return ahead ? ahead : frag; }
 
     EventQueue &queue;
     RasterUnitConfig config;
@@ -407,17 +453,36 @@ class RasterUnit : public RasterSink
      *  steady state performs no allocation. Only live within one
      *  rasterizePrim call (never across events). */
     RasterOutput rasterScratch;
-    std::vector<Quad> survivorScratch;
 
-    std::deque<RasterWork> fifo;
+    Ring<RasterWork> fifo;
     Tick frontReadyAt = 0;
     bool advanceScheduled = false;
     bool inAdvance = false;
 
-    std::unique_ptr<TileCtx> frag;  //!< tile owning the Fragment stage
-    std::unique_ptr<TileCtx> ahead; //!< tile being rasterized ahead
+    TileCtx *frag = nullptr;  //!< tile owning the Fragment stage
+    TileCtx *ahead = nullptr; //!< tile being rasterized ahead
+    Pool<TileCtx> tileCtxs;
+    Pool<PendingFlush> flushes;
 
-    std::deque<PendingWarp> pendingWarps;
+    /** What dispatch and commit read of a quad once its warp is
+     *  assembled: depth, uv and mip are spent by then. */
+    struct CoveredQuad
+    {
+        std::uint16_t px = 0;
+        std::uint16_t py = 0;
+        std::uint8_t mask = 0;
+    };
+
+    /**
+     * The quads of every warp assembled and not yet committed, in
+     * assembly order. Warps commit in that order too (per tile by seq,
+     * and the run-ahead tile only after the fragment-stage one), so a
+     * commit always takes its quads from the front, and the ring holds
+     * no more than the warps in flight.
+     */
+    Ring<CoveredQuad> quadRing;
+
+    Ring<PendingWarp> pendingWarps;
     std::uint32_t maxPendingWarps;
 
     Tick flushReadyAt = 0;

@@ -9,6 +9,13 @@
  * Coverage follows a top-left fill rule so triangles sharing an edge
  * cover every pixel exactly once — the property that makes the final
  * image independent of tile scheduling.
+ *
+ * The scan classifies each 4x4-quad block against the three edges once
+ * (in double, with a bound on the float rounding error) and runs the
+ * per-pixel test only where that cannot decide. Every covered pixel's
+ * depth and every quad's uv are the same float expressions, with the
+ * same operands in the same order, as a plain per-pixel scan computes,
+ * so the output is bit-identical to one.
  */
 
 #ifndef LIBRA_GPU_RASTER_RASTERIZER_HH
@@ -45,7 +52,22 @@ struct Quad
 struct RasterOutput
 {
     std::vector<Quad> quads;   //!< quads with nonzero coverage
-    std::uint32_t blocksScanned = 0; //!< 2x2 blocks visited (timing)
+    std::uint32_t blocksScanned = 0; //!< 2x2 blocks in the clipped bbox
+
+    /** Terms of one quad column (two pixel columns) that do not depend
+     *  on the row, hoisted out of the pixel loop by rasterize(). */
+    struct ColumnTerms
+    {
+        float edge[2][3];       //!< edgeVec[e].y * (cx - v[e].x)
+        float z[2];             //!< z0 + dzdx * (cx - v[0].x)
+        Vec2 uv;                //!< uv0 + dudx * (quad cx - v[0].x)
+        std::uint8_t inRect = 0; //!< coverage bits whose column is in rect
+        std::uint8_t cover = 0;  //!< pre-cull verdict of the column's
+                                 //!< block in the current block row
+    };
+    /** rasterize() scratch, reused across calls so a caller that keeps
+     *  one RasterOutput does not allocate; meaningless between calls. */
+    std::vector<ColumnTerms> columns;
 };
 
 /**
@@ -64,9 +86,6 @@ class TriangleSetup
     float texelsPerPixel() const { return _texelsPerPixel; }
 
   private:
-    /** Edge function value of edge i at pixel center (x+.5, y+.5). */
-    float edgeAt(int i, float x, float y) const;
-
     Vec2 v[3];       //!< winding-normalized positions
     Vec2 uvs[3];
     float zs[3];

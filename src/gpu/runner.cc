@@ -581,7 +581,7 @@ restoreFromSnapshot(std::vector<std::uint8_t> bytes, const Scene &scene,
 }
 
 /** Path of the snapshot keyed (config, scene, first frame, frames
- *  done) inside checkpoint dir @p dir. */
+ *  done, traced or not) inside checkpoint dir @p dir. */
 std::string
 snapshotPath(const std::string &dir, const GpuConfig &cfg,
              std::uint64_t scene_hash, std::uint32_t first_frame,
@@ -589,7 +589,7 @@ snapshotPath(const std::string &dir, const GpuConfig &cfg,
 {
     return (std::filesystem::path(dir)
             / snapshotFileName(cfg.configHash(), scene_hash, first_frame,
-                               frames_done))
+                               frames_done, cfg.traceEvents))
         .string();
 }
 
@@ -763,7 +763,8 @@ runBenchmark(const Scene &scene, const GpuConfig &cfg,
 
     // Surface an unusable checkpoint directory once, at plan setup.
     // Warn-only: checkpointing must never change a run's outcome, so
-    // the run proceeds cold, without snapshots.
+    // the run proceeds cold, without snapshots. A usable one is swept
+    // of the temp files that killed writers left behind.
     CheckpointPlan plan = checkpoint;
     if (!plan.dir.empty()) {
         std::error_code ec;
@@ -774,6 +775,8 @@ runBenchmark(const Scene &scene, const GpuConfig &cfg,
                  ": ", ec.message(), " — checkpoints disabled for this "
                  "run");
             plan.dir.clear();
+        } else {
+            removeDeadWritersTempFiles(plan.dir);
         }
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * SmallCallback semantics and the zero-allocation guarantee of the
- * event-loop hot path.
+ * event-loop hot path, the memory path and the raster path.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,9 @@
 
 #include "cache/cache.hh"
 #include "cache/mem_system.hh"
+#include "gpu/raster/raster_unit.hh"
 #include "gpu/raster/shader_core.hh"
+#include "gpu/tiling/tile_grid.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 
@@ -401,4 +403,82 @@ TEST(SteadyState, MemoryPathAndWarpDispatchAreAllocationFree)
     EXPECT_GT(l1.mshrStalls.value(), stalls0);
     EXPECT_GT(l2.misses.value(), l2_misses0);
     EXPECT_EQ(core.resident(), 0u);
+}
+
+TEST(SteadyState, RasterPathAllocatesAtMostTexLinesPerWarp)
+{
+    // One Raster Unit, two cores on ideal memory, renders one tile of
+    // overlapping primitives: a full-tile one, a partial one, a blended
+    // one and one with two texture samples, with the functional image
+    // and the content signature on. After a warm-up pass has sized the
+    // quad ring, the warp rings, the tile-context and flush pools and
+    // the rasterizer scratch, rendering the same tile again may only
+    // allocate each launched warp's texLines buffer.
+    EventQueue q;
+    IdealMemory mem(q, 20);
+    const TileGrid grid(64, 64, 32);
+    TexturePool pool;
+    const std::uint32_t tex = pool.create(64, 64).id();
+    CacheConfig l1_cfg;
+    l1_cfg.name = "l1";
+    l1_cfg.sizeBytes = 2048;
+    l1_cfg.mshrs = 4;
+    Cache l1a(q, l1_cfg, mem);
+    Cache l1b(q, l1_cfg, mem);
+    RasterUnitConfig cfg;
+    cfg.cores = 2;
+    cfg.tileSize = 32;
+    cfg.captureImage = true;
+    cfg.transactionElimination = true;
+    RasterUnit ru(q, cfg, grid, mem, {&l1a, &l1b});
+    std::uint64_t tiles_done = 0;
+    ru.onTileDone = [&tiles_done](const TileDoneInfo &) { ++tiles_done; };
+
+    BinnedFrame frame;
+    auto add = [&](Vec2 a, Vec2 b, Vec2 c, float z, bool blend,
+                   std::uint8_t samples) {
+        Triangle tri;
+        tri.textureId = tex;
+        tri.blend = blend;
+        tri.texSamples = samples;
+        tri.v[0] = {{a.x, a.y, z}, {0.0f, 0.0f}};
+        tri.v[1] = {{b.x, b.y, z}, {1.0f, 0.0f}};
+        tri.v[2] = {{c.x, c.y, z}, {0.0f, 1.0f}};
+        frame.tris.push_back(tri);
+        frame.triVertexCost.push_back(8);
+    };
+    add({-8, -8}, {80, -8}, {-8, 80}, 0.9f, false, 1);  // whole tile
+    add({0, 0}, {32, 0}, {0, 32}, 0.5f, false, 1);      // diagonal half
+    add({3, 30}, {29, 2}, {31, 31}, 0.3f, true, 1);     // blended
+    add({5.5f, 4}, {27, 9}, {12, 28.5f}, 0.2f, false, 2); // two samples
+    frame.tileLists.resize(grid.tileCount());
+    frame.tileLists[0] = {0, 1, 2, 3};
+    ru.beginFrame(frame, pool);
+
+    const auto render_tile = [&] {
+        ru.push({RasterWork::Kind::TileBegin, 0, 0});
+        for (const std::uint32_t prim : frame.tileLists[0])
+            ru.push({RasterWork::Kind::Prim, 0, prim});
+        ru.push({RasterWork::Kind::TileEnd, 0, 0});
+        q.runUntil();
+    };
+
+    render_tile(); // warm-up
+    ASSERT_EQ(tiles_done, 1u);
+    const std::uint64_t warps0 = ru.warpsLaunched.value();
+    ASSERT_GT(warps0, 4u);
+
+    std::uint64_t allocations = 0;
+    {
+        AllocCounter allocs;
+        for (int pass = 0; pass < 3; ++pass)
+            render_tile();
+        allocations = allocs.count();
+    }
+    const std::uint64_t warps = ru.warpsLaunched.value() - warps0;
+    EXPECT_EQ(tiles_done, 4u);
+    EXPECT_EQ(warps, 3 * warps0);
+    EXPECT_LE(allocations, warps)
+        << "raster path allocated beyond one texLines buffer per warp";
+    EXPECT_TRUE(ru.idle());
 }

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "check/fault_injector.hh"
 #include "check/snapshot.hh"
 #include "gpu/gpu_config.hh"
@@ -549,5 +551,108 @@ TEST(CheckpointDir, WarmPrefixRerunRestoresEveryJobAndForksNone)
     EXPECT_EQ(second.warmPrefixForks, 0u);
     EXPECT_EQ(second.restoredWhole, 4u);
     EXPECT_EQ(outcomeReport(jobs, second), outcomeReport(jobs, first));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDir, TracedAndUntracedRunsKeepSeparateSnapshots)
+{
+    // One job, re-run against one dir with the trace flag alternating.
+    // The trace flag is part of the key: each run restores from, and
+    // writes, only snapshots of its own kind, so every re-run restores
+    // whole and the two kinds never overwrite each other.
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const std::string dir = scratchDir("traced");
+    GpuConfig untraced = smallConfig();
+    GpuConfig traced = untraced;
+    traced.traceEvents = true;
+    auto job = [&](const GpuConfig &cfg) {
+        return std::vector<SweepJob>{SweepJob{&ccs, cfg, 2, 0}};
+    };
+    SweepRunner pool(1);
+    SceneCache cache;
+
+    SweepOutcome u1 =
+        pool.runWithPolicy(job(untraced), storePolicy(dir), &cache);
+    ASSERT_EQ(u1.failureCount(), 0u);
+    EXPECT_EQ(u1.restoredWhole, 0u);
+    SweepOutcome t1 =
+        pool.runWithPolicy(job(traced), storePolicy(dir), &cache);
+    ASSERT_EQ(t1.failureCount(), 0u);
+    EXPECT_EQ(t1.restoredWhole, 0u);
+    ASSERT_TRUE(t1.jobs[0].result->trace);
+    EXPECT_EQ(filesIn(dir),
+              (std::vector<std::string>{ccsSnapshot(untraced, 2),
+                                        snapshotFileName(
+                                            traced.configHash(),
+                                            snapshotSceneHash("CCS", kWidth,
+                                                              kHeight),
+                                            0, 2, true)}));
+
+    SweepOutcome u2 =
+        pool.runWithPolicy(job(untraced), storePolicy(dir), &cache);
+    EXPECT_EQ(u2.restoredWhole, 1u);
+    EXPECT_EQ(outcomeReport(job(untraced), u2),
+              outcomeReport(job(untraced), u1));
+    EXPECT_FALSE(u2.jobs[0].result->trace);
+
+    SweepOutcome t2 =
+        pool.runWithPolicy(job(traced), storePolicy(dir), &cache);
+    EXPECT_EQ(t2.restoredWhole, 1u);
+    EXPECT_EQ(outcomeReport(job(traced), t2),
+              outcomeReport(job(traced), t1));
+    ASSERT_TRUE(t2.jobs[0].result->trace);
+    EXPECT_EQ(t2.jobs[0].result->trace->chromeTraceJson(),
+              t1.jobs[0].result->trace->chromeTraceJson());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDir, DeadWritersTempFilesAreRemovedLiveOnesKept)
+{
+    const BenchmarkSpec &ccs = findBenchmark("CCS");
+    const std::string dir = scratchDir("stray");
+    const GpuConfig cfg = smallConfig();
+    const std::string snap = ccsSnapshot(cfg, 2);
+    const std::string own_pid = std::to_string(::getpid());
+    // 2147483647 is above any pid_max, so no process has it; pid 1
+    // (init) is always alive.
+    const std::vector<std::string> dead = {
+        snap + ".tmp.2147483647.0",
+        "ckpt_0000000000000001_0000000000000002_0_f1.lsnp.tmp.2147483647.7",
+    };
+    const std::vector<std::string> kept = {
+        snap + ".tmp." + own_pid + ".3", // this process: a live writer
+        snap + ".tmp.1.0",               // alive
+        snap + ".tmp.0.0",               // not a pid
+        snap + ".tmp.-5.0",              // not a pid
+        snap + ".tmp.2147483647",        // no serial
+        snap + ".tmp.2147483647.x",      // malformed serial
+        "notes.tmp.2147483647.0",        // not a snapshot temp
+    };
+    for (const std::vector<std::string> *names : {&dead, &kept}) {
+        for (const std::string &name : *names) {
+            std::FILE *f = std::fopen((dir + "/" + name).c_str(), "wb");
+            ASSERT_NE(f, nullptr) << name;
+            std::fputs("partial", f);
+            std::fclose(f);
+        }
+    }
+    EXPECT_EQ(removeDeadWritersTempFiles(dir), dead.size());
+    std::vector<std::string> expect = kept;
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(filesIn(dir), expect);
+
+    // A run against the dir sweeps them too, then writes its snapshot.
+    for (const std::string &name : dead) {
+        std::FILE *f = std::fopen((dir + "/" + name).c_str(), "wb");
+        ASSERT_NE(f, nullptr) << name;
+        std::fclose(f);
+    }
+    const Scene scene(ccs, kWidth, kHeight);
+    CheckpointPlan plan;
+    plan.dir = dir;
+    ASSERT_TRUE(runBenchmark(scene, cfg, 2, 0, plan).isOk());
+    expect.push_back(snap);
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(filesIn(dir), expect);
     std::filesystem::remove_all(dir);
 }

@@ -301,6 +301,8 @@ TEST(SnapshotContainer, FileNameCarriesTheWholeKey)
     EXPECT_NE(base, snapshotFileName(7, 10, 0, 2));
     EXPECT_NE(base, snapshotFileName(7, 9, 1, 2));
     EXPECT_NE(base, snapshotFileName(7, 9, 0, 3));
+    EXPECT_EQ(snapshotFileName(7, 9, 0, 2, true),
+              "ckpt_0000000000000007_0000000000000009_0_f2_traced.lsnp");
 }
 
 TEST(SnapshotContainer, AtomicWriteLeavesOnlyTheFinalFile)
